@@ -69,7 +69,7 @@
 //!    interactive goodput ratio. Overload must degrade honestly, never
 //!    silently.
 //! 8. **Chaos recovery** (gated): the gated stream replays open-loop at
-//!    2× saturation against four supervised shards while a scripted
+//!    2× saturation against four shards while a scripted
 //!    `ChaosPlan` kills one shard after its second round and stalls a
 //!    second one every round, with hedging covering the straggler.
 //!    Recovery must be loss-free: the `chaos` section's
@@ -851,11 +851,11 @@ fn main() {
         .field("classes", degrade_classes);
 
     // Phase 8: chaos recovery (gated). The gated 600-request stream
-    // replays open-loop at 2× saturation against four supervised shards
+    // replays open-loop at 2× saturation against four shards
     // while a scripted `ChaosPlan` kills the home shard of the first
     // family after its second round and stalls a neighbour on every
     // round; hedging covers the straggler. Stealing stays off so every
-    // rescued round provably moved through the supervised lease/requeue
+    // rescued round provably moved through the lease/requeue
     // (or hedge) path rather than an opportunistic steal. The invariants
     // checked here and re-checked by `bench_gate`: zero lost tickets,
     // zero failures (three same-class survivors remain), at least one

@@ -7,9 +7,9 @@
 //! request stream and compare outputs byte-for-byte against a serial
 //! reference. The plan is injected through
 //! [`DispatchOptions::chaos`](crate::DispatchOptions::chaos); the
-//! dispatcher's supervision path (see `dispatch.rs`) detects the victim,
-//! reclaims its queued and in-flight rounds through a generation-stamped
-//! lease table, and requeues them onto surviving
+//! dispatcher's lease/requeue protocol (see `dispatch.rs`) detects the
+//! victim, reclaims its queued rounds and its leased in-flight round,
+//! and requeues them onto surviving
 //! [`steal_compatible`](dpu_verify::steal_compatible) shards — the only
 //! moves statically proven to preserve per-request results.
 //!

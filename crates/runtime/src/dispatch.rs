@@ -46,9 +46,9 @@
 //! - **Failure injection and recovery.** A seeded
 //!   [`ChaosPlan`] ([`DispatchOptions::chaos`]) scripts
 //!   shard deaths and stalls deterministically. A dying shard's queued
-//!   *and* in-flight rounds are recovered through a generation-stamped
-//!   round-lease table onto surviving same-class shards (the moves
-//!   `steal_compatible` statically proves result-identical), worker
+//!   *and* in-flight rounds are recovered through its round lease onto
+//!   surviving same-class shards (the moves `steal_compatible`
+//!   statically proves result-identical), worker
 //!   panics at the backend seam are contained the same way, and optional
 //!   hedging ([`DispatchOptions::hedge`]) re-enqueues a copy of a
 //!   straggling round on an idle identical-class shard — first completion
@@ -82,7 +82,7 @@
 //!   count, stealing, or timing (a request's result depends only on its
 //!   backend's parameters, its program, and its inputs).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -178,16 +178,6 @@ impl Default for DispatchOptions {
     }
 }
 
-impl DispatchOptions {
-    /// Whether any failure-supervision feature is active. Supervised
-    /// dispatch leases every checked-out round and gives every job an
-    /// atomic completion claim; the unsupervised (default) path carries
-    /// neither and is exactly the pre-chaos pipeline.
-    fn supervised(&self) -> bool {
-        self.chaos.is_some() || self.hedge.is_some() || self.stall_timeout.is_some()
-    }
-}
-
 /// The home shard of a DAG key among `shards` primary shards — the
 /// affinity half of the routing policy. [`DagKey`] is already a
 /// structural hash, so a plain modulus spreads distinct DAGs uniformly.
@@ -201,6 +191,12 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 }
 
 /// One closed round: the unit of dispatch between ingestion and shards.
+///
+/// Cloning a round shares its jobs — same payloads, tickets and claim
+/// tokens, so every job still resolves exactly once however many copies
+/// (lease, recovery, hedge) exist. Each executing copy stamps its own
+/// timelines on the stack ([`shard_loop`]).
+#[derive(Clone)]
 struct Round {
     /// The shard this round was routed to (its keys' home, or the mirror
     /// shard it shadows traffic for).
@@ -219,9 +215,9 @@ struct Round {
     /// counted as hedge wins.
     hedge: bool,
     /// Requests in class-then-arrival order (interactive first within the
-    /// round), each with its completion handle and its in-progress
-    /// latency timeline.
-    jobs: Vec<TrackedJob>,
+    /// round), each with its completion handle and its latency timeline
+    /// as of round close. Shared by every copy of the round.
+    jobs: Arc<[TrackedJob]>,
 }
 
 impl Round {
@@ -236,28 +232,24 @@ impl Round {
             rank
         }
     }
-
-    /// A shareable copy for recovery and hedging: same tickets, same
-    /// claim tokens (so every job still resolves exactly once), own
-    /// request payloads and timelines.
-    fn clone_shared(&self) -> Round {
-        Round {
-            home: self.home,
-            priority: self.priority,
-            closed_at: self.closed_at,
-            hedged: self.hedged,
-            hedge: self.hedge,
-            jobs: self.jobs.iter().map(TrackedJob::clone_shared).collect(),
-        }
-    }
 }
 
 /// Per-shard queue state behind the shared lock.
 struct QueueState {
     rounds: VecDeque<Round>,
+    /// The round this shard's worker has checked out, held until the
+    /// worker releases it after resolution, so a dead or stalled worker's
+    /// in-flight round can be recovered without its cooperation. A worker
+    /// holds at most one lease: [`next_round`] releases the finished
+    /// round's lease in the same critical section that leases the next.
+    /// Recovery reclaims a lease by taking it out of the slot, so each
+    /// lease is reclaimed at most once and a later release of a reclaimed
+    /// lease is a no-op; the atomic claim on every job guarantees that a
+    /// late original and a reclaimed copy never both fulfil a ticket.
+    lease: Option<Lease>,
     /// Set once, by the ingestion thread, after the final rounds have
-    /// been queued; a shard exits when every queue it may serve is closed
-    /// and empty.
+    /// been queued; a shard exits when every queue it may serve is
+    /// closed, empty and without a lease out.
     closed: bool,
     /// Set once the shard's worker died (a chaos kill or a contained
     /// panic). A dead queue is permanently empty: its backlog was
@@ -273,147 +265,12 @@ struct Queues {
     work: Condvar,
 }
 
-/// One leased round: a shard checked it out; the table holds a shareable
-/// copy until the worker releases it, so a dead or stalled holder's
-/// in-flight work can be reconstructed without its cooperation.
+/// One leased round (see [`QueueState::lease`]).
 struct Lease {
-    /// The shard that checked the round out.
-    holder: usize,
-    /// The holder's reclaim generation at checkout. Reclaiming a shard
-    /// bumps its generation and tears down only leases stamped with an
-    /// older one, so each lease is reclaimed at most once even against a
-    /// racing release.
-    generation: u64,
     /// When the round was checked out — the stall-detection reference.
     checked_out: Instant,
-    /// Shareable copy of the round (same tickets, same claim tokens).
+    /// Shared copy of the round (same jobs, same claim tokens).
     round: Round,
-}
-
-struct LeaseInner {
-    next_id: u64,
-    /// Per-shard reclaim generation; see [`Lease::generation`].
-    generation: Vec<u64>,
-    leases: HashMap<u64, Lease>,
-}
-
-/// The round-lease table of supervised mode: every round a worker checks
-/// out is recorded here until the worker releases it after resolution.
-/// The recovery paths reclaim leases — a dead shard's all at once, a
-/// stalled shard's individually — and requeue the copies; the atomic
-/// claim on every job guarantees that a late original and a reclaimed
-/// copy can never both fulfil a ticket.
-///
-/// Lock discipline: the lease lock is a leaf — it is only ever taken
-/// alone or *inside* the queues lock, never around it.
-struct LeaseTable {
-    inner: Mutex<LeaseInner>,
-}
-
-impl LeaseTable {
-    fn new(shards: usize) -> Self {
-        LeaseTable {
-            inner: Mutex::new(LeaseInner {
-                next_id: 0,
-                generation: vec![0; shards],
-                leases: HashMap::new(),
-            }),
-        }
-    }
-
-    /// Records `round` as checked out by `holder`, keeping a shareable
-    /// copy for reclaim. Returns the lease id the worker must release
-    /// once the round resolves.
-    fn checkout(&self, holder: usize, round: &Round) -> u64 {
-        let mut inner = self.inner.lock().expect("lease table poisoned");
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let generation = inner.generation[holder];
-        inner.leases.insert(
-            id,
-            Lease {
-                holder,
-                generation,
-                checked_out: Instant::now(),
-                round: round.clone_shared(),
-            },
-        );
-        id
-    }
-
-    /// Releases a lease after its round resolved. A lease already
-    /// reclaimed (id absent) is a no-op — the reclaimer owns the copy.
-    fn release(&self, id: u64) {
-        self.inner
-            .lock()
-            .expect("lease table poisoned")
-            .leases
-            .remove(&id);
-    }
-
-    /// Tears down every lease of `shard` (it died): bumps the shard's
-    /// generation and returns the stranded round copies, each exactly
-    /// once.
-    fn reclaim_shard(&self, shard: usize) -> Vec<Round> {
-        let mut inner = self.inner.lock().expect("lease table poisoned");
-        inner.generation[shard] += 1;
-        let generation = inner.generation[shard];
-        let ids: Vec<u64> = inner
-            .leases
-            .iter()
-            .filter(|(_, l)| l.holder == shard && l.generation < generation)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| inner.leases.remove(&id))
-            .map(|l| l.round)
-            .collect()
-    }
-
-    /// Reclaims every lease checked out longer than `timeout` ago — the
-    /// stalled-holder sweep. The holder is *not* dead: it keeps running
-    /// and may still resolve its original copy; claims arbitrate.
-    fn reclaim_stalled(&self, timeout: Duration) -> Vec<(usize, Round)> {
-        let now = Instant::now();
-        let mut inner = self.inner.lock().expect("lease table poisoned");
-        let ids: Vec<u64> = inner
-            .leases
-            .iter()
-            .filter(|(_, l)| now.duration_since(l.checked_out) >= timeout)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut out = Vec::new();
-        for id in ids {
-            if let Some(lease) = inner.leases.remove(&id) {
-                inner.generation[lease.holder] += 1;
-                out.push((lease.holder, lease.round));
-            }
-        }
-        out
-    }
-
-    /// Whether any live lease is held by a shard of steal class `class`.
-    /// Workers must not exit while a same-class peer holds one: that
-    /// peer could still die and requeue its in-hand round onto them.
-    fn class_has_leases(&self, steal_class: &[usize], class: usize) -> bool {
-        self.inner
-            .lock()
-            .expect("lease table poisoned")
-            .leases
-            .values()
-            .any(|l| steal_class[l.holder] == class)
-    }
-}
-
-/// Shared failure-supervision state, present only when
-/// [`DispatchOptions::supervised`] — the default path never allocates or
-/// touches it.
-struct Supervision {
-    leases: LeaseTable,
-    /// Observed round queue waits (close → checkout, ns), feeding the
-    /// hedge percentile trigger. Written by workers only when hedging is
-    /// configured.
-    round_waits: Mutex<LatencyHistogram>,
 }
 
 /// Outstanding accepted-but-not-completed job count (mirror copies
@@ -701,7 +558,7 @@ pub struct DispatchReport {
     /// the request sat in queue.
     pub shed_expired: u64,
     /// Jobs rescued from a dead or stalled shard: requeued onto a
-    /// surviving same-class shard by the supervision path. An overlay
+    /// surviving same-class shard by the lease/requeue path. An overlay
     /// counter — recovery moves work without changing any outcome, so it
     /// sits outside the class balance equation.
     pub recovered: u64,
@@ -1002,6 +859,7 @@ impl Dispatcher {
                 (0..n)
                     .map(|_| QueueState {
                         rounds: VecDeque::new(),
+                        lease: None,
                         closed: false,
                         dead: false,
                     })
@@ -1009,12 +867,9 @@ impl Dispatcher {
             ),
             work: Condvar::new(),
         });
-        let supervision: Option<Arc<Supervision>> = options.supervised().then(|| {
-            Arc::new(Supervision {
-                leases: LeaseTable::new(n),
-                round_waits: Mutex::new(LatencyHistogram::new()),
-            })
-        });
+        // Observed round queue waits (close → checkout, ns), feeding the
+        // hedge percentile trigger; recorded only when hedging is on.
+        let round_waits = Arc::new(Mutex::new(LatencyHistogram::new()));
         let in_flight = Arc::new(InFlight {
             count: Mutex::new(0),
             zero: Condvar::new(),
@@ -1062,7 +917,7 @@ impl Dispatcher {
                 let window = Arc::clone(&window);
                 let clock = Arc::clone(&clock);
                 let admission = Arc::clone(&admission);
-                let supervision = supervision.clone();
+                let round_waits = Arc::clone(&round_waits);
                 let options = options.clone();
                 std::thread::Builder::new()
                     .name(format!("dpu-shard-{i}"))
@@ -1076,7 +931,7 @@ impl Dispatcher {
                             &clock,
                             &admission,
                             &steal_class,
-                            supervision.as_deref(),
+                            &round_waits,
                             &options,
                         )
                     })
@@ -1085,23 +940,28 @@ impl Dispatcher {
             .collect();
 
         let supervisor_stop = Arc::new(AtomicBool::new(false));
-        let supervisor = supervision
-            .as_ref()
-            .filter(|_| options.hedge.is_some() || options.stall_timeout.is_some())
-            .map(|sup| {
-                let stop = Arc::clone(&supervisor_stop);
-                let sup = Arc::clone(sup);
-                let queues = Arc::clone(&queues);
-                let steal_class = Arc::clone(&steal_class);
-                let admission = Arc::clone(&admission);
-                let options = options.clone();
-                std::thread::Builder::new()
-                    .name("dpu-supervisor".into())
-                    .spawn(move || {
-                        supervisor_loop(&stop, &queues, &sup, &steal_class, p, &admission, &options)
-                    })
-                    .expect("spawn supervisor thread")
-            });
+        let supervisor = (options.hedge.is_some() || options.stall_timeout.is_some()).then(|| {
+            let stop = Arc::clone(&supervisor_stop);
+            let round_waits = Arc::clone(&round_waits);
+            let queues = Arc::clone(&queues);
+            let steal_class = Arc::clone(&steal_class);
+            let admission = Arc::clone(&admission);
+            let options = options.clone();
+            std::thread::Builder::new()
+                .name("dpu-supervisor".into())
+                .spawn(move || {
+                    supervisor_loop(
+                        &stop,
+                        &queues,
+                        &round_waits,
+                        &steal_class,
+                        p,
+                        &admission,
+                        &options,
+                    )
+                })
+                .expect("spawn supervisor thread")
+        });
 
         Dispatcher {
             shards,
@@ -1326,52 +1186,33 @@ impl Drop for Dispatcher {
 }
 
 /// One pending job: a request, its completion handle (`None` on mirror
-/// copies), its priority class, and its in-progress latency timeline
-/// (stamped by the ingestion thread through round close, then by the
-/// executing shard).
+/// copies), its priority class, its latency timeline (stamped by the
+/// ingestion thread through round close; the executing shard stamps a
+/// copy), and its claim.
 struct TrackedJob {
     request: Request,
     ticket: Option<Arc<TicketState>>,
     priority: Priority,
     timeline: Timeline,
-    /// First-completion-wins arbiter shared by every copy of this job
-    /// (recovery requeues, hedges). `None` outside supervised mode,
-    /// where exactly one copy of a job ever exists.
-    claim: Option<Arc<AtomicBool>>,
+    /// First-completion-wins arbiter of every copy of this job's round
+    /// (lease copies, recovery requeues, hedges), minted by ingestion
+    /// when it builds the job.
+    claim: AtomicBool,
 }
 
 impl TrackedJob {
-    /// Wins the exclusive right to resolve this job. Unclaimed jobs (the
-    /// default, copy-free path) always win; copies race through the
-    /// shared token, and exactly one caller ever sees `true`.
+    /// Wins the exclusive right to resolve this job: copies race through
+    /// the shared token, and exactly one caller ever sees `true`.
     fn claim(&self) -> bool {
-        match &self.claim {
-            None => true,
-            Some(token) => token
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok(),
-        }
+        self.claim
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 
     /// Whether another copy of this job has already resolved it — a
     /// cheap pre-check so losing copies skip the backend seam entirely.
     fn already_resolved(&self) -> bool {
-        self.claim
-            .as_ref()
-            .is_some_and(|token| token.load(Ordering::Acquire))
-    }
-
-    /// A shareable copy: same ticket, same claim token (so the job still
-    /// resolves exactly once), own request payload and timeline (the
-    /// stamps diverge per copy; the claim winner's are reported).
-    fn clone_shared(&self) -> TrackedJob {
-        TrackedJob {
-            request: self.request.clone(),
-            ticket: self.ticket.clone(),
-            priority: self.priority,
-            timeline: self.timeline,
-            claim: self.claim.clone(),
-        }
+        self.claim.load(Ordering::Acquire)
     }
 }
 
@@ -1418,7 +1259,6 @@ fn ingest_loop(
 ) -> IngestStats {
     use crossbeam::channel::RecvTimeoutError;
 
-    let supervised = options.supervised();
     let mut stats = IngestStats::default();
     let mut pending: Vec<PendingRound> = (0..n).map(|_| PendingRound::new()).collect();
     let mut first_at: Vec<Option<Instant>> = vec![None; n];
@@ -1443,7 +1283,7 @@ fn ingest_loop(
             closed_at: Instant::now(),
             hedged: false,
             hedge: false,
-            jobs,
+            jobs: jobs.into(),
         };
         first_at[s] = None;
         let mut qs = queues.inner.lock().expect("queues poisoned");
@@ -1472,16 +1312,10 @@ fn ingest_loop(
 
     // Appends one job to shard `s`'s pending round, closing it when full.
     let push = |s: usize,
-                mut job: TrackedJob,
+                job: TrackedJob,
                 pending: &mut Vec<PendingRound>,
                 first_at: &mut Vec<Option<Instant>>,
                 stats: &mut IngestStats| {
-        if supervised {
-            // Every job copy shares one atomic claim with its future
-            // recovery/hedge copies — minted here, the single point all
-            // jobs enter the fabric through.
-            job.claim = Some(Arc::new(AtomicBool::new(false)));
-        }
         in_flight.inc();
         if pending[s].is_empty() {
             first_at[s] = Some(Instant::now());
@@ -1578,7 +1412,7 @@ fn ingest_loop(
                                 deadline_ns: 0,
                                 ..timeline
                             },
-                            claim: None,
+                            claim: AtomicBool::new(false),
                         },
                         &mut pending,
                         &mut first_at,
@@ -1592,7 +1426,7 @@ fn ingest_loop(
                         ticket: Some(sub.ticket),
                         priority: sub.priority,
                         timeline,
-                        claim: None,
+                        claim: AtomicBool::new(false),
                     },
                     &mut pending,
                     &mut first_at,
@@ -1661,26 +1495,27 @@ fn requeue_locked(
 /// requeued: the typed [`ServeError::ShardLost`] failure, ledgered under
 /// `failed` against the round's home shard.
 fn fail_round(
-    mut round: Round,
+    round: Round,
     lost_shard: usize,
     in_flight: &InFlight,
     window: &ServingWindow,
     clock: &Clock,
     admission: &Admission,
 ) {
-    for job in round.jobs.iter_mut() {
+    for job in round.jobs.iter() {
         if !job.claim() {
             continue; // another copy already resolved this ticket
         }
-        job.timeline.completed_ns = clock.now_ns();
+        let mut timeline = job.timeline;
+        timeline.completed_ns = clock.now_ns();
         if let Some(ticket) = &job.ticket {
             admission.note_failed(job.priority.index(), round.home);
             ticket.fulfill(
                 Outcome::Failed(ServeError::ShardLost { shard: lost_shard }),
-                job.timeline,
+                timeline,
             );
         }
-        window.mark_complete(job.timeline.completed_ns);
+        window.mark_complete(timeline.completed_ns);
         in_flight.dec();
     }
 }
@@ -1719,52 +1554,41 @@ fn requeue_rounds(
 }
 
 /// A worker's dying act (chaos kill or contained panic): marks the shard
-/// dead, then moves its entire failure domain — queued rounds plus every
+/// dead, then moves its entire failure domain — queued rounds plus the
 /// round it had checked out on lease — onto one surviving same-class
-/// shard, all under a single queues-lock acquisition (the lease lock
-/// nests inside; see [`LeaseTable`]). The atomicity is load-bearing:
+/// shard, all under a single queues-lock acquisition. The atomicity is
+/// load-bearing:
 /// between the drain and the push no peer can observe "all queues empty"
 /// and exit, so the requeued rounds always land on a live worker. With no
 /// survivor, the stranded jobs fail typed ([`fail_round`]).
 ///
-/// Requeueing ignores [`DispatchOptions::work_stealing`] when supervised
-/// — steal-class compatibility is the static proof of result identity,
-/// stealing is just a scheduling policy. Unsupervised (a contained panic
-/// with stealing off), peers use own-queue-only exit conditions, so the
-/// only safe move is to fail the backlog.
+/// Requeueing ignores [`DispatchOptions::work_stealing`]: steal-class
+/// compatibility is the static proof of result identity, stealing is
+/// just a scheduling policy, and every worker's exit condition is
+/// class-wide and lease-aware ([`next_round`]), so a survivor is always
+/// still there to take the rounds.
 #[allow(clippy::too_many_arguments)]
 fn abandon_shard(
     me: usize,
-    supervision: Option<&Supervision>,
     queues: &Queues,
     steal_class: &[usize],
     in_flight: &InFlight,
     window: &ServingWindow,
     clock: &Clock,
     admission: &Admission,
-    options: &DispatchOptions,
 ) {
     let mut qs = queues.inner.lock().expect("queues poisoned");
     qs[me].dead = true;
     let mut stranded: Vec<Round> = qs[me].rounds.drain(..).collect();
-    if let Some(sup) = supervision {
-        stranded.extend(sup.leases.reclaim_shard(me));
-    }
-    let can_requeue = options.supervised() || options.work_stealing;
-    let failed: Vec<Round> = if stranded.is_empty() {
-        Vec::new()
-    } else if can_requeue {
-        match requeue_locked(&mut qs, me, stranded, steal_class) {
-            Ok(recovered) => {
-                if recovered > 0 {
-                    admission.recovered.fetch_add(recovered, Ordering::Relaxed);
-                }
-                Vec::new()
+    stranded.extend(qs[me].lease.take().map(|l| l.round));
+    let failed: Vec<Round> = match requeue_locked(&mut qs, me, stranded, steal_class) {
+        Ok(recovered) => {
+            if recovered > 0 {
+                admission.recovered.fetch_add(recovered, Ordering::Relaxed);
             }
-            Err(rounds) => rounds,
+            Vec::new()
         }
-    } else {
-        stranded
+        Err(rounds) => rounds,
     };
     drop(qs);
     // Wake everyone: exit-waiters re-check against the new dead flag and
@@ -1779,13 +1603,13 @@ fn abandon_shard(
 /// when idle, shed queue-expired deadlines, execute the rest on the
 /// shard's backend, stamp/record latency, fulfill tickets.
 ///
-/// Under supervision every checked-out round is leased
-/// ([`LeaseTable::checkout`]) until resolved, scripted chaos events
-/// (kill/stall) fire at checkout, and every job resolution is gated by
-/// its atomic claim so a recovered or hedged copy can never double-fulfil
-/// a ticket. A backend panic is contained here: the in-hand jobs fail
-/// typed, the shard abandons its queue, the worker exits — the dispatcher
-/// keeps serving on the survivors.
+/// Every checked-out round is leased ([`QueueState::lease`]) until
+/// resolved, scripted chaos events (kill/stall) fire at checkout, and
+/// every job resolution is gated by its atomic claim so a recovered or
+/// hedged copy can never double-fulfil a ticket. A backend panic is
+/// contained here: the in-hand jobs fail typed, the shard abandons its
+/// queue, the worker exits — the dispatcher keeps serving on the
+/// survivors.
 #[allow(clippy::too_many_arguments)]
 fn shard_loop(
     me: usize,
@@ -1796,7 +1620,7 @@ fn shard_loop(
     clock: &Clock,
     admission: &Admission,
     steal_class: &[usize],
-    supervision: Option<&Supervision>,
+    round_waits: &Mutex<LatencyHistogram>,
     options: &DispatchOptions,
 ) {
     let my = &shards[me];
@@ -1806,46 +1630,36 @@ fn shard_loop(
     let kill_after = chaos.and_then(|c| c.kill_after(me));
     let stall = chaos.and_then(|c| c.stall(me));
     let mut rounds_done: u64 = 0;
+    // The previous round, kept alive until its lease is released so the
+    // release under the queues lock never frees the round's jobs.
+    let mut finished: Option<Round> = None;
 
     loop {
-        let round = next_round(
+        let next = next_round(
             me,
             queues,
             steal_class,
             options.work_stealing,
             options.priority_aging,
-            supervision,
+            finished.is_some(),
         );
-        let Some(mut round) = round else {
+        drop(finished.take());
+        let Some(round) = next else {
             return; // all queues I can serve are closed and empty
         };
-        // Lease the round before anything can go wrong with it, and feed
-        // its observed queue wait to the hedge trigger histogram.
-        let lease = supervision.map(|sup| {
-            if options.hedge.is_some() {
-                let waited = Instant::now().duration_since(round.closed_at).as_nanos() as u64;
-                sup.round_waits
-                    .lock()
-                    .expect("round waits poisoned")
-                    .record(waited);
-            }
-            sup.leases.checkout(me, &round)
-        });
+        // Feed the round's observed queue wait to the hedge trigger.
+        if options.hedge.is_some() {
+            let waited = Instant::now().duration_since(round.closed_at).as_nanos() as u64;
+            round_waits
+                .lock()
+                .expect("round waits poisoned")
+                .record(waited);
+        }
         if kill_after.is_some_and(|after| rounds_done >= after) {
             // Scripted death at checkout: drop the in-hand round — the
             // lease copy owns its recovery — and abandon everything.
             drop(round);
-            abandon_shard(
-                me,
-                supervision,
-                queues,
-                steal_class,
-                in_flight,
-                window,
-                clock,
-                admission,
-                options,
-            );
+            abandon_shard(me, queues, steal_class, in_flight, window, clock, admission);
             return;
         }
         if let (Some(plan), Some(base)) = (chaos, stall) {
@@ -1860,41 +1674,42 @@ fn shard_loop(
         // The latency lock is uncontended here: only this shard's worker
         // writes it, and shutdown reads it after joining every worker.
         let mut latency = my.latency.lock().expect("latency poisoned");
-        // Pass 1 — admission: stamp each job's own execute-start and run
-        // the last-chance deadline check (primary copies only — a mirror
-        // job's deadline stamp is always 0): if the deadline passed in
-        // queue, or the remaining service estimate no longer fits it,
-        // shed instead of executing. Shed jobs are fully resolved here
-        // and never reach the backend seam. Sheds are attributed to
-        // `round.home` — the shard whose backlog cost the job its
-        // deadline — not the executing shard.
-        let mut exec_idx: Vec<usize> = Vec::with_capacity(round.jobs.len());
-        for (i, job) in round.jobs.iter_mut().enumerate() {
+        // Pass 1 — admission: stamp each job's execute-start on this
+        // copy's own timeline and run the last-chance deadline check
+        // (primary copies only — a mirror job's deadline stamp is always
+        // 0): if the deadline passed in queue, or the remaining service
+        // estimate no longer fits it, shed instead of executing. Shed
+        // jobs are fully resolved here and never reach the backend seam.
+        // Sheds are attributed to `round.home` — the shard whose backlog
+        // cost the job its deadline — not the executing shard.
+        let mut exec: Vec<(usize, Timeline)> = Vec::with_capacity(round.jobs.len());
+        for (i, job) in round.jobs.iter().enumerate() {
             if job.already_resolved() {
                 continue; // another copy won the claim while we queued
             }
-            job.timeline.execute_start_ns = clock.now_ns();
-            if job.timeline.deadline_ns != 0 {
-                let now_ns = job.timeline.execute_start_ns;
-                if now_ns.saturating_add(admission.service_estimate()) > job.timeline.deadline_ns {
+            let mut timeline = job.timeline;
+            timeline.execute_start_ns = clock.now_ns();
+            if timeline.deadline_ns != 0 {
+                let now_ns = timeline.execute_start_ns;
+                if now_ns.saturating_add(admission.service_estimate()) > timeline.deadline_ns {
                     if !job.claim() {
                         continue;
                     }
-                    job.timeline.completed_ns = clock.now_ns();
+                    timeline.completed_ns = clock.now_ns();
                     let reason = ShedReason::DeadlineExpired {
                         now_ns,
-                        deadline_ns: job.timeline.deadline_ns,
+                        deadline_ns: timeline.deadline_ns,
                     };
                     admission.note_shed(job.priority.index(), round.home, reason);
                     if let Some(ticket) = &job.ticket {
-                        ticket.fulfill(Outcome::Shed { reason }, job.timeline);
+                        ticket.fulfill(Outcome::Shed { reason }, timeline);
                     }
-                    window.mark_complete(job.timeline.completed_ns);
+                    window.mark_complete(timeline.completed_ns);
                     in_flight.dec();
                     continue;
                 }
             }
-            exec_idx.push(i);
+            exec.push((i, timeline));
         }
         // Pass 2 — execute the survivors as one round through the seam:
         // backends with per-program setup cost amortize it across the
@@ -1903,11 +1718,11 @@ fn shard_loop(
         // empty survivor set never reaches the seam — a round of expired
         // deadlines (or fully claimed-away jobs) must not charge a
         // backend its per-round setup cost for zero requests.
-        let outcomes = if exec_idx.is_empty() {
+        let outcomes = if exec.is_empty() {
             Vec::new()
         } else {
             let requests: Vec<&Request> =
-                exec_idx.iter().map(|&i| &round.jobs[i].request).collect();
+                exec.iter().map(|&(i, _)| &round.jobs[i].request).collect();
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 my.backend.execute_round(&mut scratch, &requests)
             }));
@@ -1920,41 +1735,31 @@ fn shard_loop(
                     // requeue forever), the queue backlog recovers, the
                     // worker exits.
                     drop(latency);
-                    for i in exec_idx {
-                        let job = &mut round.jobs[i];
+                    for (i, mut timeline) in exec {
+                        let job = &round.jobs[i];
                         if !job.claim() {
                             continue;
                         }
-                        job.timeline.completed_ns = clock.now_ns();
+                        timeline.completed_ns = clock.now_ns();
                         if let Some(ticket) = &job.ticket {
                             admission.note_failed(job.priority.index(), round.home);
                             ticket.fulfill(
                                 Outcome::Failed(ServeError::ShardLost { shard: me }),
-                                job.timeline,
+                                timeline,
                             );
                         }
-                        window.mark_complete(job.timeline.completed_ns);
+                        window.mark_complete(timeline.completed_ns);
                         in_flight.dec();
                     }
-                    if let (Some(sup), Some(id)) = (supervision, lease) {
-                        sup.leases.release(id);
-                    }
-                    abandon_shard(
-                        me,
-                        supervision,
-                        queues,
-                        steal_class,
-                        in_flight,
-                        window,
-                        clock,
-                        admission,
-                        options,
-                    );
+                    // The poisoned round's jobs are all resolved: release
+                    // its lease so recovery does not requeue it.
+                    queues.inner.lock().expect("queues poisoned")[me].lease = None;
+                    abandon_shard(me, queues, steal_class, in_flight, window, clock, admission);
                     return;
                 }
             }
         };
-        let executed = exec_idx.len() as u64;
+        let executed = exec.len() as u64;
         // Pass 3 — per-job accounting in request order: each job keeps
         // its own completion stamp, service cycles, latency record and
         // ticket outcome, exactly as when jobs executed one by one. The
@@ -1962,24 +1767,24 @@ fn shard_loop(
         // hedged copies; whichever copy claims first wins, and because
         // identical-class backends are result-identical the outcome bytes
         // are the same either way.
-        for (i, result) in exec_idx.into_iter().zip(outcomes) {
-            let job = &mut round.jobs[i];
+        for ((i, mut timeline), result) in exec.into_iter().zip(outcomes) {
+            let job = &round.jobs[i];
             if !job.claim() {
                 continue; // lost the race to another copy after executing
             }
             if let Ok(res) = &result {
                 costs.push(res.cycles);
                 my.dag_ops.fetch_add(res.dag_ops, Ordering::Relaxed);
-                job.timeline.service_cycles = res.cycles;
+                timeline.service_cycles = res.cycles;
             }
-            job.timeline.completed_ns = clock.now_ns();
+            timeline.completed_ns = clock.now_ns();
             if result.is_ok() {
-                latency.record(&job.timeline);
+                latency.record(&timeline);
                 if !my.mirror {
                     // Feed the live estimates the shed projections run on
                     // (primary observations only — mirrors model other
                     // hardware and would skew the serving estimate).
-                    admission.observe(job.timeline.queueing_delay_ns(), job.timeline.service_ns());
+                    admission.observe(timeline.queueing_delay_ns(), timeline.service_ns());
                 }
             }
             if let Some(ticket) = &job.ticket {
@@ -2000,9 +1805,9 @@ fn shard_loop(
                 if round.hedge {
                     admission.hedge_wins.fetch_add(1, Ordering::Relaxed);
                 }
-                ticket.fulfill(outcome, job.timeline);
+                ticket.fulfill(outcome, timeline);
             }
-            window.mark_complete(job.timeline.completed_ns);
+            window.mark_complete(timeline.completed_ns);
             in_flight.dec();
         }
         drop(latency);
@@ -2013,12 +1818,7 @@ fn shard_loop(
                 Ordering::Relaxed,
             );
         }
-        if let (Some(sup), Some(id)) = (supervision, lease) {
-            sup.leases.release(id);
-            // Wake exit-waiters: peers blocked on "a same-class lease is
-            // still out" can now re-check.
-            queues.work.notify_all();
-        }
+        finished = Some(round);
     }
 }
 
@@ -2034,7 +1834,7 @@ fn shard_loop(
 fn supervisor_loop(
     stop: &AtomicBool,
     queues: &Queues,
-    sup: &Supervision,
+    round_waits: &Mutex<LatencyHistogram>,
     steal_class: &[usize],
     primaries: usize,
     admission: &Admission,
@@ -2053,12 +1853,16 @@ fn supervisor_loop(
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(tick);
         if let Some(timeout) = options.stall_timeout {
+            let now = Instant::now();
             let mut qs = queues.inner.lock().expect("queues poisoned");
-            let reclaimed = sup.leases.reclaim_stalled(timeout);
             let mut recovered = 0u64;
             let mut pushed = false;
-            for (holder, round) in reclaimed {
-                if let Ok(n) = requeue_locked(&mut qs, holder, vec![round], steal_class) {
+            for holder in 0..qs.len() {
+                let stalled = |l: &mut Lease| now.duration_since(l.checked_out) >= timeout;
+                let Some(lease) = qs[holder].lease.take_if(stalled) else {
+                    continue;
+                };
+                if let Ok(n) = requeue_locked(&mut qs, holder, vec![lease.round], steal_class) {
                     recovered += n;
                     pushed = true;
                 }
@@ -2074,7 +1878,14 @@ fn supervisor_loop(
             }
         }
         if let Some(hedge) = &options.hedge {
-            hedge_pass(queues, sup, steal_class, primaries, admission, hedge);
+            hedge_pass(
+                queues,
+                round_waits,
+                steal_class,
+                primaries,
+                admission,
+                hedge,
+            );
         }
     }
 }
@@ -2087,14 +1898,14 @@ fn supervisor_loop(
 /// map keeps two hedges from landing on one idle shard in a single pass.
 fn hedge_pass(
     queues: &Queues,
-    sup: &Supervision,
+    round_waits: &Mutex<LatencyHistogram>,
     steal_class: &[usize],
     primaries: usize,
     admission: &Admission,
     hedge: &HedgeOptions,
 ) {
     let threshold = {
-        let waits = sup.round_waits.lock().expect("round waits poisoned");
+        let waits = round_waits.lock().expect("round waits poisoned");
         let observed_ns = if waits.is_empty() {
             0
         } else {
@@ -2133,7 +1944,7 @@ fn hedge_pass(
             let copy = {
                 let r = &mut qs[s].rounds[i];
                 r.hedged = true;
-                let mut c = r.clone_shared();
+                let mut c = r.clone();
                 c.hedge = true;
                 c
             };
@@ -2151,8 +1962,12 @@ fn hedge_pass(
     }
 }
 
-/// Blocks until shard `me` has a round to execute. Selection is
-/// priority-aware on both paths:
+/// Releases `me`'s lease if its previous round is `finished`, then blocks
+/// until `me` has a round to execute and leases it
+/// ([`QueueState::lease`]). Both happen under the queues lock: a round is always either queued or
+/// leased, so no peer can see it in neither place and exit early, and a
+/// peer waiting out a lease is either woken by its release or sees it
+/// gone. Selection is priority-aware on both paths:
 ///
 /// - **Own queue:** the best-ranked round, oldest first within a rank
 ///   ([`Round::effective_rank`] — interactive rounds jump ahead of
@@ -2164,27 +1979,36 @@ fn hedge_pass(
 ///
 /// With single-class traffic and no aged rounds this degrades exactly to
 /// the old FIFO-pop / newest-steal behavior. Returns `None` once every
-/// queue `me` may serve is closed and empty.
+/// same-class queue is closed, empty and without a lease out.
 ///
-/// Supervised, the exit condition hardens in two ways. First, it goes
-/// class-wide even with stealing off: recovery and hedging requeue onto
-/// same-class peers regardless of the stealing policy, so an idle worker
-/// must stay alive while any same-class queue still has (or could
-/// receive) work. Second, the worker also waits out every outstanding
-/// same-class *lease* — a peer holding one could still die and requeue
-/// its in-hand round here. Once all same-class queues are closed+empty
-/// and no lease is out, no new work can materialize (every producer path
-/// starts from a queued round or a lease), so the condition is stable.
+/// The exit condition is class-wide even with stealing off: recovery and
+/// hedging requeue onto same-class peers regardless of the stealing
+/// policy, so an idle worker must stay alive while any same-class queue
+/// still has (or could receive) work. The worker also waits out every
+/// outstanding same-class *lease* — a peer holding one could still die
+/// and requeue its in-hand round here. Once all same-class queues are
+/// closed+empty and no lease is out, no new work can materialize (every
+/// producer path starts from a queued round or a lease), so the
+/// condition is stable.
 fn next_round(
     me: usize,
     queues: &Queues,
     steal_class: &[usize],
     stealing: bool,
     aging: Duration,
-    supervision: Option<&Supervision>,
+    finished: bool,
 ) -> Option<Round> {
     let mut qs = queues.inner.lock().expect("queues poisoned");
+    if finished {
+        qs[me].lease = None;
+        // Peers only wait out leases once ingestion has closed every
+        // queue, so that is the only time a release needs to wake them.
+        if qs[me].closed {
+            queues.work.notify_all();
+        }
+    }
     loop {
+        let mut source = None;
         if !qs[me].rounds.is_empty() {
             let now = Instant::now();
             let best = qs[me]
@@ -2194,9 +2018,8 @@ fn next_round(
                 .min_by_key(|(i, r)| (r.effective_rank(aging, now), *i))
                 .map(|(i, _)| i)
                 .expect("nonempty queue");
-            return qs[me].rounds.remove(best);
-        }
-        if stealing {
+            source = Some((me, best));
+        } else if stealing {
             // Deepest backlog among shards whose class matches mine.
             let victim = (0..qs.len())
                 .filter(|&j| j != me && steal_class[j] == steal_class[me])
@@ -2212,20 +2035,20 @@ fn next_round(
                     .min_by_key(|(i, r)| (r.effective_rank(aging, now), len - *i))
                     .map(|(i, _)| i)
                     .expect("nonempty victim");
-                return qs[j].rounds.remove(best);
+                source = Some((j, best));
             }
         }
-        let servable_done = |j: usize| qs[j].closed && qs[j].rounds.is_empty();
-        let all_done = if stealing || supervision.is_some() {
-            (0..qs.len())
-                .filter(|&j| steal_class[j] == steal_class[me])
-                .all(servable_done)
-        } else {
-            servable_done(me)
-        };
-        if all_done
-            && !supervision
-                .is_some_and(|sup| sup.leases.class_has_leases(steal_class, steal_class[me]))
+        if let Some((j, i)) = source {
+            let round = qs[j].rounds.remove(i).expect("index in range");
+            qs[me].lease = Some(Lease {
+                checked_out: Instant::now(),
+                round: round.clone(),
+            });
+            return Some(round);
+        }
+        if (0..qs.len())
+            .filter(|&j| steal_class[j] == steal_class[me])
+            .all(|j| qs[j].closed && qs[j].rounds.is_empty() && qs[j].lease.is_none())
         {
             return None;
         }

@@ -2,9 +2,12 @@
 //! a pool of host worker threads each owning one reusable machine.
 //!
 //! Execution model: host workers (`EngineOptions::workers` threads) pull
-//! requests from a shared queue, compile through the
-//! [`ProgramCache`] on first touch, and simulate on their private
-//! [`Machine`] (reset, not reallocated, between requests). The *modelled*
+//! requests from a shared queue, compile and decode through the
+//! [`ProgramCache`] on first touch, and run the pre-decoded program
+//! ([`DecodedProgram`]) on their private [`Machine`] (reset, not
+//! reallocated, between requests). Every entry point —
+//! [`Engine::execute`], [`Engine::execute_round`], [`Engine::serve`],
+//! [`Engine::serve_serial`] — runs that one decoded path. The *modelled*
 //! hardware parallelism — the paper's DPU-v2 (L) cores — is accounted
 //! separately by [`plan_rounds`]: host threads decide how fast the
 //! simulation runs on this machine, cores decide how many simulated
@@ -24,7 +27,7 @@ use std::time::Instant;
 use dpu_compiler::{CompileError, CompileOptions, Compiled};
 use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
-use dpu_sim::{run_decoded_on, run_on, Activity, DecodedProgram, Machine, RunResult, SimError};
+use dpu_sim::{run_decoded_on, Activity, DecodedProgram, Machine, RunResult, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, CacheStats, ProgramCache, SpillStore};
@@ -88,8 +91,9 @@ pub enum ServeError {
     UnknownDag(DagKey),
     /// Compilation of a registered DAG failed.
     Compile(CompileError),
-    /// Simulation of one request failed (always a compiler/runtime bug,
-    /// never a data-dependent condition — see [`SimError`]).
+    /// Simulation of one request failed: a malformed request
+    /// ([`SimError::InputCount`]) or a compiler/runtime bug, never a
+    /// data-dependent condition — see [`SimError`].
     Sim {
         /// Index of the failing request in the served stream.
         request: usize,
@@ -128,6 +132,20 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+impl ServeError {
+    /// Re-labels a [`ServeError::Sim`] with its index in a served stream
+    /// (single-request paths report index 0).
+    fn at(self, idx: usize) -> ServeError {
+        match self {
+            ServeError::Sim { error, .. } => ServeError::Sim {
+                request: idx,
+                error,
+            },
+            other => other,
+        }
+    }
+}
 
 impl From<CompileError> for ServeError {
     fn from(e: CompileError) -> Self {
@@ -326,10 +344,11 @@ impl Engine {
     /// stream — worker count affects only host wall-clock.
     ///
     /// Failures are isolated per request, never fate-shared across a
-    /// batch: every failing request is reported in
+    /// batch: every failing request — an unknown DAG, a wrong input
+    /// count, a compile error — is reported in
     /// [`ServingReport::failures`] and every other request keeps its
     /// result, matching the async [`Ticket`](crate::Ticket) path's
-    /// semantics.
+    /// semantics. Each request runs as [`Engine::execute`] runs it.
     pub fn serve(&self, requests: &[Request]) -> ServingReport {
         let started = Instant::now();
         let workers = self.options.workers.clamp(1, requests.len().max(1));
@@ -346,7 +365,9 @@ impl Engine {
                         if idx >= requests.len() {
                             break;
                         }
-                        let outcome = self.execute_one(&mut machine, idx, &requests[idx]);
+                        let outcome = self
+                            .execute(&mut machine, &requests[idx])
+                            .map_err(|e| e.at(idx));
                         *slots[idx].lock().expect("result slot poisoned") = Some(outcome);
                     }
                 });
@@ -369,7 +390,8 @@ impl Engine {
     }
 
     /// Serves `requests` strictly serially on one reusable machine — the
-    /// reference pass that threaded serving is verified against.
+    /// reference pass that threaded serving is verified against. Each
+    /// request runs as [`Engine::execute`] runs it.
     ///
     /// # Errors
     ///
@@ -379,27 +401,31 @@ impl Engine {
         let mut machine = Machine::new(self.config);
         let mut results = Vec::with_capacity(requests.len());
         for (idx, request) in requests.iter().enumerate() {
-            results.push(self.execute_one(&mut machine, idx, request)?);
+            results.push(self.execute(&mut machine, request).map_err(|e| e.at(idx))?);
         }
         Ok(self.finish_report(results, Vec::new(), 1, started))
     }
 
-    /// Executes one request on a caller-owned machine through this
-    /// engine's registry and program cache — the per-shard hot path of the
-    /// [`Dispatcher`](crate::Dispatcher). The machine is reset (not
-    /// reallocated) per call; the result is byte-identical to serving the
-    /// request any other way.
+    /// Executes one request on a caller-owned machine: looks up (compiling
+    /// and decoding on first use) the request's pre-decoded program in
+    /// the shared cache and runs it with [`run_decoded_on`]. The machine
+    /// is reset (not reallocated) per call; the result is byte-identical
+    /// to serving the request any other way.
     ///
     /// # Errors
     ///
-    /// See [`ServeError`]; a [`ServeError::Sim`] carries request index 0
-    /// (there is no stream here).
+    /// See [`ServeError`]; a request with the wrong number of inputs is a
+    /// [`ServeError::Sim`] carrying [`SimError::InputCount`]. A
+    /// [`ServeError::Sim`] carries request index 0 (there is no stream
+    /// here).
     pub fn execute(
         &self,
         machine: &mut Machine,
         request: &Request,
     ) -> Result<RunResult, ServeError> {
-        self.execute_one(machine, 0, request)
+        let (compiled, decoded) = self.decoded_for(request.dag)?;
+        run_decoded_on(machine, &compiled, &decoded, &request.inputs)
+            .map_err(|error| ServeError::Sim { request: 0, error })
     }
 
     /// Executes one dispatcher round's worth of requests on one
@@ -481,22 +507,6 @@ impl Engine {
             )
             .map_err(|error| ServeError::Sim { request: 0, error })?;
         Ok((compiled, decoded))
-    }
-
-    fn execute_one(
-        &self,
-        machine: &mut Machine,
-        idx: usize,
-        request: &Request,
-    ) -> Result<RunResult, ServeError> {
-        let dag = self
-            .dag(request.dag)
-            .ok_or(ServeError::UnknownDag(request.dag))?;
-        let compiled = self.cache.get_or_compile(&dag, request.dag, &self.config)?;
-        run_on(machine, &compiled, &request.inputs).map_err(|error| ServeError::Sim {
-            request: idx,
-            error,
-        })
     }
 
     fn finish_report(
@@ -602,20 +612,35 @@ mod tests {
 
     #[test]
     fn failures_do_not_fate_share_the_batch() {
-        // One bad request in the middle of a batch: every other request
-        // keeps its result, and the failure is reported with its index —
-        // the regression the old first-error-aborts `serve` had.
+        // Bad requests in the middle of a batch — an unknown DAG and a
+        // missing input: every other request keeps its result, and each
+        // failure is reported with its index — the regression the old
+        // first-error-aborts `serve` had.
         let e = engine();
         let k = e.register(simple_dag(0));
         let mut reqs: Vec<Request> = (0..9)
             .map(|i| Request::new(k, vec![i as f32, 3.0]))
             .collect();
         reqs.insert(4, Request::new(DagKey(0xdead), vec![1.0]));
+        reqs.insert(7, Request::new(k, vec![1.0]));
         let report = e.serve(&reqs);
         assert_eq!(report.results.len(), 9);
-        assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.failures.len(), 2);
         assert_eq!(report.failures[0].0, 4);
         assert!(matches!(report.failures[0].1, ServeError::UnknownDag(_)));
+        assert_eq!(
+            report.failures[1],
+            (
+                7,
+                ServeError::Sim {
+                    request: 7,
+                    error: SimError::InputCount {
+                        expected: 2,
+                        got: 1
+                    },
+                }
+            )
+        );
         // Successes keep request order: 0..3 then 4..8 of the good stream.
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.outputs, vec![i as f32 + 3.0]);

@@ -366,9 +366,23 @@ impl Backend for PanicBackend {
 /// A backend panic is contained to its round: the in-hand jobs fail
 /// typed (`ShardLost`), the dead shard's backlog is requeued onto the
 /// peer, later ingestion reroutes around the corpse, and the dispatcher
-/// keeps serving.
+/// keeps serving. Stealing is off, so the poison round provably executes
+/// on its home shard and recovery is the lease/requeue path alone. Runs
+/// with no fault script and with an empty one: scripts only add faults,
+/// they switch no recovery protocol on.
 #[test]
 fn backend_panic_is_contained_and_recovered() {
+    for chaos in [None, Some(ChaosPlan::new(0))] {
+        panic_is_contained_and_recovered(DispatchOptions {
+            max_batch: 1,
+            work_stealing: false,
+            chaos,
+            ..Default::default()
+        });
+    }
+}
+
+fn panic_is_contained_and_recovered(options: DispatchOptions) {
     let dag = small_dag();
     let home = home_shard(dag_fingerprint(&dag), 2);
     let backends: Vec<Arc<dyn Backend>> = (0..2)
@@ -378,18 +392,7 @@ fn backend_panic_is_contained_and_recovered() {
             }) as Arc<dyn Backend>
         })
         .collect();
-    let d = Dispatcher::with_backends(
-        backends,
-        Vec::new(),
-        DispatchOptions {
-            max_batch: 1,
-            // Stealing off + supervision on: the poison round provably
-            // executes on its home shard, and recovery still requeues.
-            work_stealing: false,
-            stall_timeout: Some(Duration::from_secs(600)),
-            ..Default::default()
-        },
-    );
+    let d = Dispatcher::with_backends(backends, Vec::new(), options);
     let key = d.register(dag);
     let sub = d.submitter();
 

@@ -28,11 +28,10 @@
 //! with **zero per-cycle allocation** (lint-enforced by
 //! `tests/forbidden_patterns.rs`), producing outputs, cycle counts and
 //! [`Activity`](crate::Activity) counters byte-identical to
-//! [`Machine::run_program`] / [`Machine::run_packed`] on the same
-//! program. The decoded form is derived state: it is never persisted
-//! (the spill layer stores only the verified [`Compiled`]
-//! representation) and is rebuilt from the compiled program wherever it
-//! is needed.
+//! [`Machine::run_program`] on the same program. The decoded form is
+//! derived state: it is never persisted (the spill layer stores only the
+//! verified [`Compiled`] representation) and is rebuilt from the compiled
+//! program wherever it is needed.
 
 use dpu_compiler::Compiled;
 use dpu_isa::{encode, ArchConfig, Instr, PeOpcode, Program};
@@ -373,6 +372,16 @@ impl DecodedProgram {
             d.row.push(row);
             d.span.push(span);
         }
+        // The arenas grew by doubling; a decoded program is cached for
+        // the life of its cache entry, so drop the slack.
+        d.load_banks.shrink_to_fit();
+        d.stores.shrink_to_fit();
+        d.copies.shrink_to_fit();
+        d.execs.shrink_to_fit();
+        d.reads.shrink_to_fit();
+        d.rsts.shrink_to_fit();
+        d.pes.shrink_to_fit();
+        d.writes.shrink_to_fit();
         Ok(d)
     }
 
@@ -544,54 +553,31 @@ impl Machine {
     }
 }
 
-/// Like [`crate::run_on`], but executing the pre-decoded form: stages
-/// inputs, runs [`Machine::run_decoded`], reads back outputs. `decoded`
-/// must be the decode of `compiled.program`; the result is byte-identical
-/// to [`crate::run_on`] for the same `(compiled, inputs)`.
+/// Runs `compiled` on a caller-owned machine from its pre-decoded form:
+/// stages inputs (resetting the machine, or rebuilding it on a
+/// configuration mismatch), runs [`Machine::run_decoded`], reads back
+/// outputs. `decoded` must be the decode of `compiled.program`; the
+/// result is byte-identical to [`crate::run_on`] for the same
+/// `(compiled, inputs)`.
 ///
 /// # Errors
 ///
-/// See [`SimError`].
-///
-/// # Panics
-///
-/// Panics if `inputs` does not match the DAG's input count, or if
-/// `decoded` was built for a different configuration than `compiled`.
+/// [`SimError::InputCount`] if `inputs` does not match the DAG's input
+/// count, [`SimError::ConfigMismatch`] if `decoded` was built for a
+/// different configuration than `compiled`; otherwise see [`SimError`].
 pub fn run_decoded_on(
     m: &mut Machine,
     compiled: &Compiled,
     decoded: &DecodedProgram,
     inputs: &[f32],
 ) -> Result<RunResult, SimError> {
-    assert_eq!(
-        inputs.len(),
-        compiled.layout.input_slots.len(),
-        "input count mismatch"
-    );
-    assert_eq!(
-        *decoded.config(),
-        compiled.program.config,
-        "decoded program configuration mismatch"
-    );
-    if *m.config() == compiled.program.config {
-        m.reset();
-    } else {
-        *m = Machine::new(compiled.program.config);
+    if *decoded.config() != compiled.program.config {
+        return Err(SimError::ConfigMismatch {
+            program: compiled.program.config,
+            decoded: *decoded.config(),
+        });
     }
-    for (&(row, col), &v) in compiled.layout.input_slots.iter().zip(inputs) {
-        if row != u32::MAX {
-            m.poke(row, col, v)?;
-        }
-    }
+    crate::stage(m, compiled, inputs)?;
     m.run_decoded(decoded)?;
-    let mut outputs = Vec::with_capacity(compiled.layout.output_slots.len());
-    for &(row, col) in &compiled.layout.output_slots {
-        outputs.push(m.peek(row, col)?);
-    }
-    Ok(RunResult {
-        cycles: m.cycle(),
-        outputs,
-        activity: m.activity(),
-        dag_ops: compiled.bin_dag.op_count() as u64,
-    })
+    crate::gather(m, compiled)
 }

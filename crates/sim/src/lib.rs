@@ -55,8 +55,9 @@ use serde::{Deserialize, Serialize};
 mod decoded;
 pub use decoded::{run_decoded_on, DecodedProgram};
 
-/// Simulation errors — every variant indicates a compiler bug or a corrupt
-/// program, never a data-dependent condition.
+/// Simulation errors. [`SimError::InputCount`] is a malformed request; every
+/// other variant indicates a compiler bug, a corrupt program or a misused
+/// API, never a data-dependent condition.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A register was read while its valid bit was 0.
@@ -92,10 +93,21 @@ pub enum SimError {
         /// The bank latching the idle output.
         bank: u32,
     },
-    /// A packed instruction image failed to decode.
-    BadImage {
-        /// Decoder diagnostic.
-        detail: String,
+    /// A run was given a different number of inputs than the compiled
+    /// DAG has — a malformed request, rejected before anything executes.
+    InputCount {
+        /// The DAG's input count.
+        expected: usize,
+        /// The number of inputs supplied.
+        got: usize,
+    },
+    /// A pre-decoded program was paired with a compiled program for a
+    /// different architecture configuration.
+    ConfigMismatch {
+        /// The compiled program's configuration.
+        program: ArchConfig,
+        /// The configuration the decoded program was built for.
+        decoded: ArchConfig,
     },
     /// A batch run was requested with zero cores.
     NoCores,
@@ -128,7 +140,13 @@ impl std::fmt::Display for SimError {
             SimError::IdlePeWriteback { bank } => {
                 write!(f, "bank {bank} latches an idle PE output")
             }
-            SimError::BadImage { detail } => write!(f, "packed image: {detail}"),
+            SimError::InputCount { expected, got } => {
+                write!(f, "expected {expected} inputs, got {got}")
+            }
+            SimError::ConfigMismatch { program, decoded } => write!(
+                f,
+                "decoded program built for {decoded:?}, compiled program targets {program:?}"
+            ),
             SimError::NoCores => write!(f, "batch run requested with zero cores"),
             SimError::EmptyBatch => write!(f, "batch run requested with an empty batch"),
             SimError::Mismatch {
@@ -644,33 +662,6 @@ impl Machine {
         }
         Ok(())
     }
-
-    /// Runs a **packed** instruction-memory image: fetch `IL` bits per
-    /// cycle, align with the shifter, decode, execute — the full Fig. 7(b)
-    /// path rather than the pre-decoded list. Equivalent to
-    /// [`Machine::run_program`] on the unpacked program; used to verify
-    /// that the binary image is self-contained.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadImage`] if the stream does not decode; otherwise as
-    /// [`Machine::step`].
-    pub fn run_packed(&mut self, image: &[u8], count: usize) -> Result<(), SimError> {
-        let il = u64::from(encode::fetch_width(&self.cfg));
-        let mut reader = encode::BitReader::new(image);
-        for _ in 0..count {
-            let instr = encode::decode(&mut reader, &self.cfg).map_err(|e| SimError::BadImage {
-                detail: e.to_string(),
-            })?;
-            self.step(&instr)?;
-            self.activity.instr_bits_fetched += il;
-        }
-        while self.pending_count > 0 {
-            self.land_pending(&[])?;
-            self.cycle += 1;
-        }
-        Ok(())
-    }
 }
 
 /// Runs `compiled` with the given DAG `inputs` (in input-ordinal order):
@@ -678,37 +669,42 @@ impl Machine {
 ///
 /// # Errors
 ///
-/// See [`SimError`].
-///
-/// # Panics
-///
-/// Panics if `inputs` does not match the DAG's input count.
+/// [`SimError::InputCount`] if `inputs` does not match the DAG's input
+/// count; otherwise see [`SimError`].
 pub fn run(compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
     let mut m = Machine::new(compiled.program.config);
     run_on(&mut m, compiled, inputs)
 }
 
 /// Like [`run`], but executes on a caller-owned [`Machine`], resetting it
-/// first instead of allocating a fresh one. This is the serving hot path:
-/// a worker thread owns one machine and reuses it across requests. If the
-/// machine's configuration does not match the program's, it is rebuilt
-/// (the one case that still allocates).
+/// first instead of allocating a fresh one. If the machine's
+/// configuration does not match the program's, it is rebuilt (the one
+/// case that still allocates). This is the interpreted reference path;
+/// serving runs [`run_decoded_on`], which must agree with it bit for bit.
 ///
 /// The result is identical to [`run`] for the same `(compiled, inputs)`.
 ///
 /// # Errors
 ///
-/// See [`SimError`].
-///
-/// # Panics
-///
-/// Panics if `inputs` does not match the DAG's input count.
+/// [`SimError::InputCount`] if `inputs` does not match the DAG's input
+/// count; otherwise see [`SimError`].
 pub fn run_on(m: &mut Machine, compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
-    assert_eq!(
-        inputs.len(),
-        compiled.layout.input_slots.len(),
-        "input count mismatch"
-    );
+    stage(m, compiled, inputs)?;
+    m.run_program(&compiled.program)?;
+    gather(m, compiled)
+}
+
+/// Prepares `m` for one run of `compiled`: checks the input count, resets
+/// (or, on a configuration mismatch, rebuilds) the machine, and pokes the
+/// inputs into their data-memory slots.
+fn stage(m: &mut Machine, compiled: &Compiled, inputs: &[f32]) -> Result<(), SimError> {
+    let expected = compiled.layout.input_slots.len();
+    if inputs.len() != expected {
+        return Err(SimError::InputCount {
+            expected,
+            got: inputs.len(),
+        });
+    }
     if *m.config() == compiled.program.config {
         m.reset();
     } else {
@@ -719,7 +715,11 @@ pub fn run_on(m: &mut Machine, compiled: &Compiled, inputs: &[f32]) -> Result<Ru
             m.poke(row, col, v)?;
         }
     }
-    m.run_program(&compiled.program)?;
+    Ok(())
+}
+
+/// Reads a finished run's outputs and counters back from `m`.
+fn gather(m: &Machine, compiled: &Compiled) -> Result<RunResult, SimError> {
     let mut outputs = Vec::with_capacity(compiled.layout.output_slots.len());
     for &(row, col) in &compiled.layout.output_slots {
         outputs.push(m.peek(row, col)?);
@@ -1032,6 +1032,48 @@ mod tests {
             let interp = run(&compiled, &inputs).unwrap();
             assert_eq!(dec, interp);
         }
+    }
+
+    #[test]
+    fn malformed_runs_are_typed_errors_not_panics() {
+        let mut b = DagBuilder::new();
+        let x = b.input();
+        let y = b.input();
+        b.node(Op::Add, &[x, y]).unwrap();
+        let dag = b.finish().unwrap();
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let compiled = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
+        let decoded = DecodedProgram::decode(&compiled.program).unwrap();
+        let mut m = Machine::new(cfg);
+        let short = SimError::InputCount {
+            expected: 2,
+            got: 1,
+        };
+        assert_eq!(run_on(&mut m, &compiled, &[1.0]), Err(short.clone()));
+        assert_eq!(
+            run_decoded_on(&mut m, &compiled, &decoded, &[1.0]),
+            Err(short)
+        );
+        let other = ArchConfig::new(1, 4, 16).unwrap();
+        let foreign = DecodedProgram::decode(&Program {
+            config: other,
+            instrs: Vec::new(),
+        })
+        .unwrap();
+        assert_eq!(
+            run_decoded_on(&mut m, &compiled, &foreign, &[1.0, 2.0]),
+            Err(SimError::ConfigMismatch {
+                program: cfg,
+                decoded: other,
+            })
+        );
+        // The machine is still usable after the rejected runs.
+        assert_eq!(
+            run_decoded_on(&mut m, &compiled, &decoded, &[1.0, 2.0])
+                .unwrap()
+                .outputs,
+            vec![3.0]
+        );
     }
 
     #[test]

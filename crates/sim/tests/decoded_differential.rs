@@ -1,6 +1,6 @@
 //! Differential fuzz: the three execution paths — interpreted
-//! ([`Machine::run_program`]), packed fetch+decode
-//! ([`Machine::run_packed`]) and pre-decoded
+//! ([`Machine::run_program`]), the packed image fetched and decoded back
+//! ([`encode::decode_stream`], then interpreted) and pre-decoded
 //! ([`Machine::run_decoded`]) — must be indistinguishable on every
 //! program: bit-identical outputs, identical cycle counts and identical
 //! activity counters, across random workloads × architecture configs
@@ -8,7 +8,7 @@
 
 use dpu_compiler::{compile, CompileOptions, Compiled};
 use dpu_dag::{Dag, DagBuilder, NodeId, Op};
-use dpu_isa::ArchConfig;
+use dpu_isa::{encode, ArchConfig, Program};
 use dpu_sim::{run_decoded_on, run_on, DecodedProgram, Machine, RunResult};
 
 use rand::rngs::SmallRng;
@@ -37,29 +37,20 @@ fn random_dag(seed: u64) -> (Dag, Vec<f32>) {
     (dag, inputs)
 }
 
-/// Runs `compiled` through one staged machine path and returns
-/// `(outputs, cycles, activity)` for exact comparison.
+/// Runs `compiled` from its packed image: decodes the image back into an
+/// instruction stream and interprets that, returning the run result for
+/// exact comparison.
 fn run_packed_path(compiled: &Compiled, inputs: &[f32]) -> RunResult {
-    let mut m = Machine::new(compiled.program.config);
-    for (&(row, col), &v) in compiled.layout.input_slots.iter().zip(inputs) {
-        if row != u32::MAX {
-            m.poke(row, col, v).unwrap();
-        }
-    }
+    let cfg = compiled.program.config;
     let image = compiled.program.pack();
-    m.run_packed(&image, compiled.program.len()).unwrap();
-    let outputs = compiled
-        .layout
-        .output_slots
-        .iter()
-        .map(|&(row, col)| m.peek(row, col).unwrap())
-        .collect();
-    RunResult {
-        cycles: m.cycle(),
-        outputs,
-        activity: m.activity(),
-        dag_ops: compiled.bin_dag.op_count() as u64,
-    }
+    let unpacked = Compiled {
+        program: Program {
+            config: cfg,
+            instrs: encode::decode_stream(&image, &cfg, compiled.program.len()).unwrap(),
+        },
+        ..compiled.clone()
+    };
+    run_on(&mut Machine::new(cfg), &unpacked, inputs).unwrap()
 }
 
 fn assert_same(tag: &str, point: &str, a: &RunResult, b: &RunResult) {
