@@ -376,7 +376,8 @@ fn run() -> Result<(), String> {
 
     // Decoded execution: the pre-decoded pipeline must keep paying for
     // itself. `single_machine_speedup` is a same-machine timing *ratio*
-    // (interpreted seconds / decoded seconds) — noisier than the
+    // (interpreted seconds / decoded seconds, the median over alternating
+    // trial pairs) — noisier than the
     // deterministic counters, so it ratchets at a widened tolerance, and
     // independently of the baseline must clear a hard 2.0x floor: the
     // decoded path's reason to exist is that repeat-program execution is

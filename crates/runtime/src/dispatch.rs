@@ -57,6 +57,17 @@
 //!   twice, and surviving results stay byte-identical to a serial pass.
 //!   [`DispatchReport::recovered`] / [`DispatchReport::hedged`] /
 //!   [`DispatchReport::hedge_wins`] report the recovery traffic.
+//! - **One resolution path, one recovery path.** Every accepted job —
+//!   completed, failed, or shed at ingestion or at execute time —
+//!   resolves through `Shared::resolve`, the only place a ticket is
+//!   fulfilled and its outcome ledgered: it wins the job's claim, stamps
+//!   the completion, updates the per-class ledger against the job's home
+//!   shard, fulfils the ticket, and marks the serving window and the
+//!   in-flight count. Rounds stranded by a dead shard — its backlog and
+//!   lease when it dies, or a round ingestion closes for it afterwards —
+//!   all go through `Shared::recover`, which requeues them onto a
+//!   same-class survivor or fails them typed. The ingestion, shard and
+//!   supervisor threads share one `Shared` state.
 //! - **Mirror mode.** [`Dispatcher::with_backends`] optionally takes
 //!   *mirror* shards: every accepted request is additionally executed,
 //!   ticketless, on each mirror — e.g. a DPU-v2 fleet serving the
@@ -85,7 +96,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -195,7 +206,7 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 /// Cloning a round shares its jobs — same payloads, tickets and claim
 /// tokens, so every job still resolves exactly once however many copies
 /// (lease, recovery, hedge) exist. Each executing copy stamps its own
-/// timelines on the stack ([`shard_loop`]).
+/// timelines on the stack ([`Shared::shard_loop`]).
 #[derive(Clone)]
 struct Round {
     /// The shard this round was routed to (its keys' home, or the mirror
@@ -240,7 +251,7 @@ struct QueueState {
     /// The round this shard's worker has checked out, held until the
     /// worker releases it after resolution, so a dead or stalled worker's
     /// in-flight round can be recovered without its cooperation. A worker
-    /// holds at most one lease: [`next_round`] releases the finished
+    /// holds at most one lease: [`Shared::next_round`] releases the finished
     /// round's lease in the same critical section that leases the next.
     /// Recovery reclaims a lease by taking it out of the slot, so each
     /// lease is reclaimed at most once and a later release of a reclaimed
@@ -255,14 +266,6 @@ struct QueueState {
     /// panic). A dead queue is permanently empty: its backlog was
     /// requeued at death and ingestion reroutes later rounds around it.
     dead: bool,
-}
-
-/// The shared queue fabric: one lock over all shard queues, so stealing
-/// and the exit condition need no lock ordering; one condvar signalled on
-/// every push and on close.
-struct Queues {
-    inner: Mutex<Vec<QueueState>>,
-    work: Condvar,
 }
 
 /// One leased round (see [`QueueState::lease`]).
@@ -361,13 +364,43 @@ struct ShardState {
     latency: Mutex<LatencyReport>,
 }
 
-/// Counters kept by the ingestion thread, returned when it exits.
-#[derive(Debug, Default, Clone, Copy)]
-struct IngestStats {
-    submitted: u64,
-    closed_full: u64,
-    closed_timer: u64,
-    closed_flush: u64,
+/// Everything a dispatcher's threads share: one allocation per
+/// dispatcher, handed to the ingestion, shard and supervisor threads as
+/// `&Shared` and kept by the [`Dispatcher`] handle for its report.
+struct Shared {
+    options: DispatchOptions,
+    /// Primary shard count; shards `[primaries..]` are mirrors.
+    primaries: usize,
+    shards: Vec<ShardState>,
+    /// Shard `j` may steal from — and recover onto — shard `k` iff their
+    /// entries match: same primary/mirror role and a *compatible* backend
+    /// `StealClass` (statically proven identical per-request results; see
+    /// [`StealClass::compatible`](crate::StealClass::compatible)). Each
+    /// entry is the index of the first shard of its class; compatibility
+    /// is an equivalence relation (field-wise equality with
+    /// `data_mem_rows` projected out), so first-match classification is
+    /// well defined.
+    steal_class: Vec<usize>,
+    /// The queue fabric: one lock over all shard queues, so stealing,
+    /// recovery and the exit condition need no lock ordering.
+    queues: Mutex<Vec<QueueState>>,
+    /// Signalled on every push and on close.
+    work: Condvar,
+    in_flight: InFlight,
+    window: ServingWindow,
+    clock: Arc<Clock>,
+    admission: Arc<Admission>,
+    /// Observed round queue waits (close → checkout, ns), feeding the
+    /// hedge percentile trigger; recorded only when hedging is on.
+    round_waits: Mutex<LatencyHistogram>,
+    started: Instant,
+    supervisor_stop: AtomicBool,
+    /// Requests the ingestion thread picked up, and the rounds it closed
+    /// by size, by timer and by flush (written only by that thread).
+    submitted: AtomicU64,
+    closed_full: AtomicU64,
+    closed_timer: AtomicU64,
+    closed_flush: AtomicU64,
 }
 
 /// Per-shard slice of a [`DispatchReport`].
@@ -704,37 +737,38 @@ impl DispatchReport {
 /// The sharded async serving front-end. See the module docs for the
 /// execution model.
 pub struct Dispatcher {
-    shards: Vec<Arc<ShardState>>,
-    /// Primary shard count; shards `[primaries..]` are mirrors.
-    primaries: usize,
+    shared: Arc<Shared>,
     tx: crossbeam::channel::Sender<Job>,
     shut_down: Arc<RwLock<bool>>,
-    queues: Arc<Queues>,
-    in_flight: Arc<InFlight>,
-    ingest: Option<JoinHandle<IngestStats>>,
+    ingest: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     /// The supervision thread (stall reclaim + hedging), spawned only
     /// when a policy needing one is configured.
     supervisor: Option<JoinHandle<()>>,
-    supervisor_stop: Arc<AtomicBool>,
-    options: DispatchOptions,
-    started: Instant,
-    window: Arc<ServingWindow>,
-    clock: Arc<Clock>,
-    admission: Arc<Admission>,
-    /// Filled by [`Dispatcher::stop`] so `shutdown` can build the report
-    /// after `Drop`-safe teardown.
-    final_ingest_stats: Option<IngestStats>,
 }
 
 impl std::fmt::Debug for Dispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatcher")
-            .field("shards", &self.shards.len())
-            .field("primaries", &self.primaries)
-            .field("options", &self.options)
+            .field("shards", &self.shared.shards.len())
+            .field("primaries", &self.shared.primaries)
+            .field("options", &self.shared.options)
             .finish()
     }
+}
+
+/// Spawns one named dispatcher thread running `body` over the shared
+/// state.
+fn spawn(
+    shared: &Arc<Shared>,
+    name: String,
+    body: impl FnOnce(&Shared) + Send + 'static,
+) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&shared))
+        .expect("spawn dispatcher thread")
 }
 
 impl Dispatcher {
@@ -813,190 +847,99 @@ impl Dispatcher {
             );
         }
 
-        let shards: Vec<Arc<ShardState>> = primaries
+        let shards: Vec<ShardState> = primaries
             .into_iter()
             .map(|b| (b, false))
             .chain(mirrors.into_iter().map(|b| (b, true)))
-            .map(|(backend, mirror)| {
-                Arc::new(ShardState {
-                    backend,
-                    mirror,
-                    requests: AtomicU64::new(0),
-                    rounds: AtomicU64::new(0),
-                    stolen: AtomicU64::new(0),
-                    modelled_cycles: AtomicU64::new(0),
-                    dag_ops: AtomicU64::new(0),
-                    latency: Mutex::new(LatencyReport::default()),
-                })
+            .map(|(backend, mirror)| ShardState {
+                backend,
+                mirror,
+                requests: AtomicU64::new(0),
+                rounds: AtomicU64::new(0),
+                stolen: AtomicU64::new(0),
+                modelled_cycles: AtomicU64::new(0),
+                dag_ops: AtomicU64::new(0),
+                latency: Mutex::new(LatencyReport::default()),
             })
             .collect();
-
-        // Steal classes: shard j may steal from shard k iff they share a
-        // class — same primary/mirror role and *compatible* backend
-        // `StealClass` (statically proven identical per-request results;
-        // see [`StealClass::compatible`]) — represented as the index of
-        // the first shard of the class. Compatibility is an equivalence
-        // relation (field-wise equality with `data_mem_rows` projected
-        // out), so first-match classification is well defined.
-        let steal_class: Arc<Vec<usize>> = Arc::new(
-            (0..n)
-                .map(|j| {
-                    (0..n)
-                        .position(|k| {
-                            shards[k].mirror == shards[j].mirror
-                                && shards[k]
-                                    .backend
-                                    .steal_class()
-                                    .compatible(&shards[j].backend.steal_class())
-                        })
-                        .expect("self always matches")
-                })
-                .collect(),
-        );
-
-        let queues = Arc::new(Queues {
-            inner: Mutex::new(
+        let steal_class = (0..n)
+            .map(|j| {
                 (0..n)
-                    .map(|_| QueueState {
-                        rounds: VecDeque::new(),
-                        lease: None,
-                        closed: false,
-                        dead: false,
+                    .position(|k| {
+                        shards[k].mirror == shards[j].mirror
+                            && shards[k]
+                                .backend
+                                .steal_class()
+                                .compatible(&shards[j].backend.steal_class())
                     })
-                    .collect(),
-            ),
-            work: Condvar::new(),
-        });
-        // Observed round queue waits (close → checkout, ns), feeding the
-        // hedge percentile trigger; recorded only when hedging is on.
-        let round_waits = Arc::new(Mutex::new(LatencyHistogram::new()));
-        let in_flight = Arc::new(InFlight {
-            count: Mutex::new(0),
-            zero: Condvar::new(),
-        });
-        let (tx, rx) = job_channel();
-        let shut_down = Arc::new(RwLock::new(false));
-        let started = Instant::now();
-        let window = Arc::new(ServingWindow::new());
-        let clock = Arc::new(Clock::from_epoch(started));
-        let admission = Arc::new(Admission::new(p, options.queue_capacity, options.max_wait));
-
-        let ingest = {
-            let queues = Arc::clone(&queues);
-            let in_flight = Arc::clone(&in_flight);
-            let steal_class = Arc::clone(&steal_class);
-            let window = Arc::clone(&window);
-            let clock = Arc::clone(&clock);
-            let admission = Arc::clone(&admission);
-            let options = options.clone();
-            std::thread::Builder::new()
-                .name("dpu-ingest".into())
-                .spawn(move || {
-                    ingest_loop(
-                        &rx,
-                        &queues,
-                        &in_flight,
-                        &window,
-                        &clock,
-                        &admission,
-                        &steal_class,
-                        p,
-                        n,
-                        &options,
-                    )
-                })
-                .expect("spawn ingest thread")
-        };
-
-        let workers = (0..n)
-            .map(|i| {
-                let shards: Vec<Arc<ShardState>> = shards.clone();
-                let queues = Arc::clone(&queues);
-                let in_flight = Arc::clone(&in_flight);
-                let steal_class = Arc::clone(&steal_class);
-                let window = Arc::clone(&window);
-                let clock = Arc::clone(&clock);
-                let admission = Arc::clone(&admission);
-                let round_waits = Arc::clone(&round_waits);
-                let options = options.clone();
-                std::thread::Builder::new()
-                    .name(format!("dpu-shard-{i}"))
-                    .spawn(move || {
-                        shard_loop(
-                            i,
-                            &shards,
-                            &queues,
-                            &in_flight,
-                            &window,
-                            &clock,
-                            &admission,
-                            &steal_class,
-                            &round_waits,
-                            &options,
-                        )
-                    })
-                    .expect("spawn shard thread")
+                    .expect("self always matches")
             })
             .collect();
-
-        let supervisor_stop = Arc::new(AtomicBool::new(false));
-        let supervisor = (options.hedge.is_some() || options.stall_timeout.is_some()).then(|| {
-            let stop = Arc::clone(&supervisor_stop);
-            let round_waits = Arc::clone(&round_waits);
-            let queues = Arc::clone(&queues);
-            let steal_class = Arc::clone(&steal_class);
-            let admission = Arc::clone(&admission);
-            let options = options.clone();
-            std::thread::Builder::new()
-                .name("dpu-supervisor".into())
-                .spawn(move || {
-                    supervisor_loop(
-                        &stop,
-                        &queues,
-                        &round_waits,
-                        &steal_class,
-                        p,
-                        &admission,
-                        &options,
-                    )
-                })
-                .expect("spawn supervisor thread")
+        let queues = (0..n)
+            .map(|_| QueueState {
+                rounds: VecDeque::new(),
+                lease: None,
+                closed: false,
+                dead: false,
+            })
+            .collect();
+        let started = Instant::now();
+        let shared = Arc::new(Shared {
+            primaries: p,
+            shards,
+            steal_class,
+            queues: Mutex::new(queues),
+            work: Condvar::new(),
+            in_flight: InFlight {
+                count: Mutex::new(0),
+                zero: Condvar::new(),
+            },
+            window: ServingWindow::new(),
+            clock: Arc::new(Clock::from_epoch(started)),
+            admission: Arc::new(Admission::new(p, options.queue_capacity, options.max_wait)),
+            round_waits: Mutex::new(LatencyHistogram::new()),
+            started,
+            supervisor_stop: AtomicBool::new(false),
+            submitted: AtomicU64::new(0),
+            closed_full: AtomicU64::new(0),
+            closed_timer: AtomicU64::new(0),
+            closed_flush: AtomicU64::new(0),
+            options,
         });
+
+        let (tx, rx) = job_channel();
+        let ingest = spawn(&shared, "dpu-ingest".into(), move |s| s.ingest_loop(&rx));
+        let workers = (0..n)
+            .map(|i| spawn(&shared, format!("dpu-shard-{i}"), move |s| s.shard_loop(i)))
+            .collect();
+        let supervised = shared.options.hedge.is_some() || shared.options.stall_timeout.is_some();
+        let supervisor =
+            supervised.then(|| spawn(&shared, "dpu-supervisor".into(), Shared::supervisor_loop));
 
         Dispatcher {
-            shards,
-            primaries: p,
+            shared,
             tx,
-            shut_down,
-            queues,
-            in_flight,
+            shut_down: Arc::new(RwLock::new(false)),
             ingest: Some(ingest),
             workers,
             supervisor,
-            supervisor_stop,
-            options,
-            started,
-            window,
-            clock,
-            admission,
-            final_ingest_stats: None,
         }
     }
 
     /// The options this dispatcher runs with (with `shards` normalized to
     /// the actual primary shard count).
     pub fn options(&self) -> &DispatchOptions {
-        &self.options
+        &self.shared.options
     }
 
     /// Number of shards, mirrors included.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shared.shards.len()
     }
 
     /// Number of primary (ticket-serving) shards.
     pub fn primary_shards(&self) -> usize {
-        self.primaries
+        self.shared.primaries
     }
 
     /// Registers a DAG on **every** shard (stealing, rebalancing and
@@ -1004,7 +947,7 @@ impl Dispatcher {
     /// content key.
     pub fn register(&self, dag: Dag) -> DagKey {
         let mut key = None;
-        for shard in &self.shards {
+        for shard in &self.shared.shards {
             key = Some(shard.backend.register(dag.clone()));
         }
         key.expect("at least one shard")
@@ -1016,8 +959,8 @@ impl Dispatcher {
         Submitter::new(
             self.tx.clone(),
             Arc::clone(&self.shut_down),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.admission),
+            Arc::clone(&self.shared.clock),
+            Arc::clone(&self.shared.admission),
         )
     }
 
@@ -1028,7 +971,7 @@ impl Dispatcher {
     /// particularly when the shards share a spill directory a previous
     /// run (or a peer fleet) already populated.
     pub fn prewarm(&self) -> usize {
-        self.shards.iter().map(|s| s.backend.prewarm()).sum()
+        self.shared.shards.iter().map(|s| s.backend.prewarm()).sum()
     }
 
     /// Jobs the ingestion thread has picked up but that have not yet
@@ -1038,7 +981,12 @@ impl Dispatcher {
     /// [`Dispatcher::drain`] (whose flush marker is ordered behind every
     /// earlier submit) as the quiescence barrier, not this counter.
     pub fn in_flight(&self) -> u64 {
-        *self.in_flight.count.lock().expect("in-flight poisoned")
+        *self
+            .shared
+            .in_flight
+            .count
+            .lock()
+            .expect("in-flight poisoned")
     }
 
     /// Forces every pending round closed now (instead of waiting out the
@@ -1056,9 +1004,10 @@ impl Dispatcher {
     /// The dispatcher keeps serving; this is a barrier, not a shutdown.
     pub fn drain(&self) {
         self.flush();
-        let mut count = self.in_flight.count.lock().expect("in-flight poisoned");
+        let in_flight = &self.shared.in_flight;
+        let mut count = in_flight.count.lock().expect("in-flight poisoned");
         while *count > 0 {
-            count = self.in_flight.zero.wait(count).expect("in-flight poisoned");
+            count = in_flight.zero.wait(count).expect("in-flight poisoned");
         }
     }
 
@@ -1069,8 +1018,8 @@ impl Dispatcher {
     /// [`SubmitRejection::QueueClosed`](crate::SubmitRejection).
     pub fn shutdown(mut self) -> DispatchReport {
         self.stop();
-        let ingest = self.final_ingest_stats.unwrap_or_default();
-        let shards: Vec<ShardReport> = self
+        let shared = &self.shared;
+        let shards: Vec<ShardReport> = shared
             .shards
             .iter()
             .map(|s| ShardReport {
@@ -1095,7 +1044,7 @@ impl Dispatcher {
         // The admission ledger is coherent here: every submitter that
         // returned has finished its counter updates (the write-locked
         // flag flipped before the marker), and every worker is joined.
-        let adm = &self.admission;
+        let adm = &shared.admission;
         let classes: [ClassReport; 3] = std::array::from_fn(|i| {
             let accepted = adm.accepted[i].load(Ordering::Relaxed);
             let rejected = adm.rejected[i].load(Ordering::Relaxed);
@@ -1108,26 +1057,39 @@ impl Dispatcher {
                 rejected,
             }
         });
+        let submitted = shared.submitted.load(Ordering::Relaxed);
         debug_assert!(
             classes
                 .iter()
                 .all(|c| c.offered == c.completed + c.failed + c.shed + c.rejected),
             "admission ledger dishonest: {classes:?}"
         );
+        // Every accepted request reached ingestion, and every resolution
+        // path gave its home depth slot back exactly once.
+        debug_assert_eq!(
+            classes.iter().map(|c| c.accepted).sum::<u64>(),
+            submitted,
+            "accepted requests missing from ingestion: {classes:?}"
+        );
+        debug_assert!(
+            adm.depth.iter().all(|d| d.load(Ordering::Relaxed) == 0),
+            "admission depth not released: {:?}",
+            adm.depth
+        );
         DispatchReport {
-            submitted: ingest.submitted,
+            submitted,
             served: shards
                 .iter()
                 .filter(|s| !s.mirror)
                 .map(|s| s.requests)
                 .sum(),
             mirrored: shards.iter().filter(|s| s.mirror).map(|s| s.requests).sum(),
-            rounds_closed_full: ingest.closed_full,
-            rounds_closed_timer: ingest.closed_timer,
-            rounds_closed_flush: ingest.closed_flush,
+            rounds_closed_full: shared.closed_full.load(Ordering::Relaxed),
+            rounds_closed_timer: shared.closed_timer.load(Ordering::Relaxed),
+            rounds_closed_flush: shared.closed_flush.load(Ordering::Relaxed),
             shards,
-            host_seconds: self.window.seconds(),
-            lifetime_seconds: self.started.elapsed().as_secs_f64(),
+            host_seconds: shared.window.seconds(),
+            lifetime_seconds: shared.started.elapsed().as_secs_f64(),
             latency,
             classes,
             rejected_would_block: adm.rejected_would_block.load(Ordering::Relaxed),
@@ -1155,25 +1117,20 @@ impl Dispatcher {
             *flag = true;
         }
         let _ = self.tx.send(Job::Shutdown);
-        self.final_ingest_stats = Some(ingest.join().expect("ingest thread panicked"));
+        ingest.join().expect("ingest thread panicked");
         for w in self.workers.drain(..) {
             w.join().expect("shard thread panicked");
         }
         // The supervisor outlives the workers so stall reclaim and
         // hedging keep helping the final drain; with the workers joined
         // there is nothing left for it to supervise.
-        self.supervisor_stop.store(true, Ordering::Relaxed);
+        self.shared.supervisor_stop.store(true, Ordering::Relaxed);
         if let Some(sup) = self.supervisor.take() {
             sup.join().expect("supervisor thread panicked");
         }
         debug_assert_eq!(self.in_flight(), 0, "shutdown left requests in flight");
         debug_assert!(
-            self.queues
-                .inner
-                .lock()
-                .expect("queues poisoned")
-                .iter()
-                .all(|q| q.rounds.is_empty()),
+            self.shared.queues().iter().all(|q| q.rounds.is_empty()),
             "shutdown left rounds queued"
         );
     }
@@ -1201,6 +1158,21 @@ struct TrackedJob {
 }
 
 impl TrackedJob {
+    fn new(
+        request: Request,
+        ticket: Option<Arc<TicketState>>,
+        priority: Priority,
+        timeline: Timeline,
+    ) -> Self {
+        TrackedJob {
+            request,
+            ticket,
+            priority,
+            timeline,
+            claim: AtomicBool::new(false),
+        }
+    }
+
     /// Wins the exclusive right to resolve this job: copies race through
     /// the shared token, and exactly one caller ever sees `true`.
     fn claim(&self) -> bool {
@@ -1223,12 +1195,15 @@ impl TrackedJob {
 /// exactly the old single-list order.
 struct PendingRound {
     by_class: [Vec<TrackedJob>; 3],
+    /// When the round's first job arrived — its latency-budget clock.
+    first_at: Option<Instant>,
 }
 
 impl PendingRound {
     fn new() -> Self {
         PendingRound {
             by_class: [Vec::new(), Vec::new(), Vec::new()],
+            first_at: None,
         }
     }
 
@@ -1241,817 +1216,654 @@ impl PendingRound {
     }
 }
 
-/// The ingestion loop: route among `p` primaries, fan copies out to the
-/// mirror shards `p..n`, shed provably late requests at the door,
-/// accumulate, close rounds adaptively.
-#[allow(clippy::too_many_arguments)]
-fn ingest_loop(
-    rx: &crossbeam::channel::Receiver<Job>,
-    queues: &Queues,
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-    steal_class: &[usize],
-    p: usize,
-    n: usize,
-    options: &DispatchOptions,
-) -> IngestStats {
-    use crossbeam::channel::RecvTimeoutError;
+impl Shared {
+    fn queues(&self) -> MutexGuard<'_, Vec<QueueState>> {
+        self.queues.lock().expect("queues poisoned")
+    }
 
-    let mut stats = IngestStats::default();
-    let mut pending: Vec<PendingRound> = (0..n).map(|_| PendingRound::new()).collect();
-    let mut first_at: Vec<Option<Instant>> = vec![None; n];
-
-    let close = |s: usize, pending: &mut Vec<PendingRound>, first_at: &mut Vec<Option<Instant>>| {
-        if pending[s].is_empty() {
-            return false;
+    /// Resolves an accepted job — the only place a ticket is fulfilled and
+    /// ledgered. Wins the job's claim (every copy of its round races on
+    /// it; a losing copy returns `None` and touches nothing), stamps the
+    /// completion, ledgers the outcome against `home` — the shard whose
+    /// admission depth minted the job, even when another shard executed
+    /// it — fulfils the ticket, and marks the serving window and the
+    /// in-flight count. Mirror copies (no ticket) skip ledger and ticket.
+    /// Returns the stamped timeline.
+    fn resolve(
+        &self,
+        job: &TrackedJob,
+        home: usize,
+        outcome: Outcome,
+        mut timeline: Timeline,
+    ) -> Option<Timeline> {
+        if !job.claim() {
+            return None;
         }
-        let closed_ns = clock.now_ns();
-        let mut jobs: Vec<TrackedJob> = Vec::with_capacity(pending[s].len());
-        for class in pending[s].by_class.iter_mut() {
-            jobs.append(class);
-        }
-        let mut priority = Priority::Batch;
-        for job in &mut jobs {
-            job.timeline.round_closed_ns = closed_ns;
-            priority = priority.min(job.priority);
-        }
-        let round = Round {
-            home: s,
-            priority,
-            closed_at: Instant::now(),
-            hedged: false,
-            hedge: false,
-            jobs: jobs.into(),
-        };
-        first_at[s] = None;
-        let mut qs = queues.inner.lock().expect("queues poisoned");
-        if qs[s].dead {
-            // The home shard died since these jobs were routed: hand the
-            // round straight to the recovery path. `home` stays `s`, so
-            // depth slots and ledger attribution are unchanged.
-            drop(qs);
-            requeue_rounds(
-                s,
-                vec![round],
-                queues,
-                steal_class,
-                in_flight,
-                window,
-                clock,
-                admission,
-            );
-        } else {
-            qs[s].rounds.push_back(round);
-            drop(qs);
-            queues.work.notify_all();
-        }
-        true
-    };
-
-    // Appends one job to shard `s`'s pending round, closing it when full.
-    let push = |s: usize,
-                job: TrackedJob,
-                pending: &mut Vec<PendingRound>,
-                first_at: &mut Vec<Option<Instant>>,
-                stats: &mut IngestStats| {
-        in_flight.inc();
-        if pending[s].is_empty() {
-            first_at[s] = Some(Instant::now());
-        }
-        let class = job.priority.index();
-        pending[s].by_class[class].push(job);
-        if pending[s].len() >= options.max_batch && close(s, pending, first_at) {
-            stats.closed_full += 1;
-        }
-    };
-
-    loop {
-        // Close every round that has exhausted its latency budget.
-        let now = Instant::now();
-        for s in 0..n {
-            if first_at[s].is_some_and(|t0| now.duration_since(t0) >= options.max_wait)
-                && close(s, &mut pending, &mut first_at)
-            {
-                stats.closed_timer += 1;
+        timeline.completed_ns = self.clock.now_ns();
+        if let Some(ticket) = &job.ticket {
+            let class = job.priority.index();
+            match &outcome {
+                Outcome::Completed(_) => {
+                    // Feed the live estimates the shed projections run on
+                    // (ticketed, i.e. primary, observations only — mirrors
+                    // model other hardware and would skew the estimate).
+                    self.admission
+                        .observe(timeline.queueing_delay_ns(), timeline.service_ns());
+                    self.admission.note_completed(class, home);
+                }
+                Outcome::Failed(_) => self.admission.note_failed(class, home),
+                Outcome::Shed { reason } => self.admission.note_shed(class, home, *reason),
             }
+            ticket.fulfill(outcome, timeline);
         }
+        self.window.mark_complete(timeline.completed_ns);
+        self.in_flight.dec();
+        Some(timeline)
+    }
 
-        // Sleep until the next message or the next round deadline.
-        let next_deadline = first_at
-            .iter()
-            .flatten()
-            .map(|&t0| t0 + options.max_wait)
-            .min();
-        let msg = match next_deadline {
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(timeout) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => None,
+    /// The ingestion loop: route among the primaries, fan copies out to
+    /// the mirror shards, shed provably late requests at the door,
+    /// accumulate, close rounds adaptively.
+    fn ingest_loop(&self, rx: &crossbeam::channel::Receiver<Job>) {
+        use crossbeam::channel::RecvTimeoutError;
+
+        let (p, n) = (self.primaries, self.shards.len());
+        let max_wait = self.options.max_wait;
+        let mut pending: Vec<PendingRound> = (0..n).map(|_| PendingRound::new()).collect();
+
+        // Closes shard `s`'s pending round, if any, counting it under
+        // `reason`.
+        let close = |s: usize, pending: &mut PendingRound, reason: &AtomicU64| {
+            if pending.is_empty() {
+                return;
+            }
+            reason.fetch_add(1, Ordering::Relaxed);
+            let closed_ns = self.clock.now_ns();
+            let mut jobs: Vec<TrackedJob> = Vec::with_capacity(pending.len());
+            for class in pending.by_class.iter_mut() {
+                jobs.append(class);
+            }
+            pending.first_at = None;
+            let mut priority = Priority::Batch;
+            for job in &mut jobs {
+                job.timeline.round_closed_ns = closed_ns;
+                priority = priority.min(job.priority);
+            }
+            let round = Round {
+                home: s,
+                priority,
+                closed_at: Instant::now(),
+                hedged: false,
+                hedge: false,
+                jobs: jobs.into(),
+            };
+            let mut qs = self.queues();
+            if qs[s].dead {
+                // The home shard died since these jobs were routed: hand
+                // the round straight to recovery. `home` stays `s`, so
+                // depth slots and ledger attribution are unchanged.
+                self.recover(qs, s, vec![round]);
+            } else {
+                qs[s].rounds.push_back(round);
+                drop(qs);
+                self.work.notify_all();
+            }
+        };
+
+        // Appends one job to shard `s`'s pending round, closing it when full.
+        let push = |s: usize, job: TrackedJob, pending: &mut [PendingRound]| {
+            self.in_flight.inc();
+            let round = &mut pending[s];
+            if round.is_empty() {
+                round.first_at = Some(Instant::now());
+            }
+            round.by_class[job.priority.index()].push(job);
+            if round.len() >= self.options.max_batch {
+                close(s, round, &self.closed_full);
+            }
+        };
+
+        loop {
+            // Close every round that has exhausted its latency budget.
+            let now = Instant::now();
+            for (s, round) in pending.iter_mut().enumerate() {
+                if round
+                    .first_at
+                    .is_some_and(|t0| now.duration_since(t0) >= max_wait)
+                {
+                    close(s, round, &self.closed_timer);
                 }
             }
-            None => rx.recv().ok(),
-        };
 
-        match msg {
-            Some(Job::Request(sub)) => {
-                stats.submitted += 1;
-                let accepted_ns = clock.now_ns();
-                window.mark_accept(accepted_ns);
-                let timeline = Timeline {
-                    arrival_ns: sub.arrival_ns,
-                    accepted_ns,
-                    deadline_ns: sub.deadline_ns,
-                    ..Timeline::default()
-                };
-                let s = home_shard(sub.request.dag, p);
-                // Shed-before-queue: when the live queueing + service
-                // estimate already proves the deadline unmeetable, resolve
-                // the ticket now instead of spending a round slot (and
-                // mirror executions) on a result nobody can use in time.
-                if sub.deadline_ns != 0 {
-                    let projected_ns = admission.projected_completion_ns(accepted_ns);
-                    if projected_ns > sub.deadline_ns {
-                        let mut timeline = timeline;
-                        timeline.completed_ns = clock.now_ns();
-                        window.mark_complete(timeline.completed_ns);
-                        admission.note_shed(
-                            sub.priority.index(),
-                            s,
-                            ShedReason::DeadlineUnmeetable {
+            // Sleep until the next message or the next round deadline.
+            let next_deadline = pending
+                .iter()
+                .filter_map(|r| r.first_at)
+                .map(|t0| t0 + max_wait)
+                .min();
+            let msg = match next_deadline {
+                Some(deadline) => {
+                    let timeout = deadline.saturating_duration_since(Instant::now());
+                    match rx.recv_timeout(timeout) {
+                        Ok(m) => Some(m),
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => None,
+                    }
+                }
+                None => rx.recv().ok(),
+            };
+
+            match msg {
+                Some(Job::Request(sub)) => {
+                    self.submitted.fetch_add(1, Ordering::Relaxed);
+                    let accepted_ns = self.clock.now_ns();
+                    self.window.mark_accept(accepted_ns);
+                    let timeline = Timeline {
+                        arrival_ns: sub.arrival_ns,
+                        accepted_ns,
+                        deadline_ns: sub.deadline_ns,
+                        ..Timeline::default()
+                    };
+                    let s = home_shard(sub.request.dag, p);
+                    let job =
+                        TrackedJob::new(sub.request, Some(sub.ticket), sub.priority, timeline);
+                    // Shed-before-queue: when the live queueing + service
+                    // estimate already proves the deadline unmeetable,
+                    // resolve the ticket now instead of spending a round
+                    // slot (and mirror executions) on a result nobody can
+                    // use in time.
+                    if sub.deadline_ns != 0 {
+                        let projected_ns = self.admission.projected_completion_ns(accepted_ns);
+                        if projected_ns > sub.deadline_ns {
+                            let reason = ShedReason::DeadlineUnmeetable {
                                 projected_ns,
                                 deadline_ns: sub.deadline_ns,
-                            },
-                        );
-                        sub.ticket.fulfill(
-                            Outcome::Shed {
-                                reason: ShedReason::DeadlineUnmeetable {
-                                    projected_ns,
-                                    deadline_ns: sub.deadline_ns,
-                                },
-                            },
-                            timeline,
-                        );
-                        continue;
+                            };
+                            self.in_flight.inc();
+                            self.resolve(&job, s, Outcome::Shed { reason }, timeline);
+                            continue;
+                        }
                     }
-                }
-                // Mirror copies first (so the request moves last). Mirror
-                // copies carry no deadline: they shadow accepted traffic
-                // for the platform comparison and are never shed.
-                for m in p..n {
-                    push(
-                        m,
-                        TrackedJob {
-                            request: sub.request.clone(),
-                            ticket: None,
-                            priority: sub.priority,
-                            timeline: Timeline {
-                                deadline_ns: 0,
-                                ..timeline
-                            },
-                            claim: AtomicBool::new(false),
-                        },
-                        &mut pending,
-                        &mut first_at,
-                        &mut stats,
-                    );
-                }
-                push(
-                    s,
-                    TrackedJob {
-                        request: sub.request,
-                        ticket: Some(sub.ticket),
-                        priority: sub.priority,
-                        timeline,
-                        claim: AtomicBool::new(false),
-                    },
-                    &mut pending,
-                    &mut first_at,
-                    &mut stats,
-                );
-            }
-            Some(Job::Flush(gate)) => {
-                for s in 0..n {
-                    if close(s, &mut pending, &mut first_at) {
-                        stats.closed_flush += 1;
+                    // Mirror copies first (so the request moves last).
+                    // Mirror copies carry no deadline: they shadow
+                    // accepted traffic for the platform comparison and
+                    // are never shed.
+                    for m in p..n {
+                        let timeline = Timeline {
+                            deadline_ns: 0,
+                            ..timeline
+                        };
+                        let copy =
+                            TrackedJob::new(job.request.clone(), None, job.priority, timeline);
+                        push(m, copy, &mut pending);
                     }
+                    push(s, job, &mut pending);
                 }
-                gate.open();
-            }
-            // End of stream: the shutdown marker, or every submitter and
-            // the dispatcher gone.
-            Some(Job::Shutdown) | None => {
-                for s in 0..n {
-                    if close(s, &mut pending, &mut first_at) {
-                        stats.closed_flush += 1;
+                Some(Job::Flush(gate)) => {
+                    for (s, round) in pending.iter_mut().enumerate() {
+                        close(s, round, &self.closed_flush);
                     }
+                    gate.open();
                 }
-                let mut qs = queues.inner.lock().expect("queues poisoned");
-                for q in qs.iter_mut() {
-                    q.closed = true;
+                // End of stream: the shutdown marker, or every submitter
+                // and the dispatcher gone.
+                Some(Job::Shutdown) | None => {
+                    for (s, round) in pending.iter_mut().enumerate() {
+                        close(s, round, &self.closed_flush);
+                    }
+                    for q in self.queues().iter_mut() {
+                        q.closed = true;
+                    }
+                    self.work.notify_all();
+                    return;
                 }
-                drop(qs);
-                queues.work.notify_all();
-                return stats;
             }
         }
     }
-}
 
-/// Pushes `rounds` onto the first surviving shard of `from`'s steal class
-/// — the only requeue target statically proven result-identical — under
-/// the queues lock the *caller* already holds. Returns the recovered job
-/// count (jobs not already resolved by another copy), or the rounds back
-/// when no survivor exists so the caller can pick its no-survivor policy
-/// (fail vs. drop).
-///
-/// Taking the lock as a parameter is what makes every recovery move
-/// atomic with the liveness checks around it: a peer deciding to exit
-/// serializes against this push on the same lock, so it either sees the
-/// requeued rounds or the requeue sees it still alive.
-fn requeue_locked(
-    qs: &mut [QueueState],
-    from: usize,
-    rounds: Vec<Round>,
-    steal_class: &[usize],
-) -> Result<u64, Vec<Round>> {
-    let target =
-        (0..qs.len()).find(|&t| t != from && !qs[t].dead && steal_class[t] == steal_class[from]);
-    let Some(t) = target else {
-        return Err(rounds);
-    };
-    let mut recovered = 0u64;
-    for round in rounds {
-        recovered += round.jobs.iter().filter(|j| !j.already_resolved()).count() as u64;
-        qs[t].rounds.push_back(round);
-    }
-    Ok(recovered)
-}
-
-/// Resolves every still-unclaimed job of a round that could not be
-/// requeued: the typed [`ServeError::ShardLost`] failure, ledgered under
-/// `failed` against the round's home shard.
-fn fail_round(
-    round: Round,
-    lost_shard: usize,
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-) {
-    for job in round.jobs.iter() {
-        if !job.claim() {
-            continue; // another copy already resolved this ticket
-        }
-        let mut timeline = job.timeline;
-        timeline.completed_ns = clock.now_ns();
-        if let Some(ticket) = &job.ticket {
-            admission.note_failed(job.priority.index(), round.home);
-            ticket.fulfill(
-                Outcome::Failed(ServeError::ShardLost { shard: lost_shard }),
-                timeline,
-            );
-        }
-        window.mark_complete(timeline.completed_ns);
-        in_flight.dec();
-    }
-}
-
-/// Requeues rounds whose home shard is already dead (the ingestion-side
-/// recovery entry: the round never reached the dead queue). Takes its own
-/// lock; safe because ingestion only runs before close, when every worker
-/// is still live.
-#[allow(clippy::too_many_arguments)]
-fn requeue_rounds(
-    from: usize,
-    rounds: Vec<Round>,
-    queues: &Queues,
-    steal_class: &[usize],
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-) {
-    let mut qs = queues.inner.lock().expect("queues poisoned");
-    match requeue_locked(&mut qs, from, rounds, steal_class) {
-        Ok(recovered) => {
-            drop(qs);
-            if recovered > 0 {
-                admission.recovered.fetch_add(recovered, Ordering::Relaxed);
-            }
-            queues.work.notify_all();
-        }
-        Err(rounds) => {
-            drop(qs);
-            for round in rounds {
-                fail_round(round, from, in_flight, window, clock, admission);
-            }
-        }
-    }
-}
-
-/// A worker's dying act (chaos kill or contained panic): marks the shard
-/// dead, then moves its entire failure domain — queued rounds plus the
-/// round it had checked out on lease — onto one surviving same-class
-/// shard, all under a single queues-lock acquisition. The atomicity is
-/// load-bearing:
-/// between the drain and the push no peer can observe "all queues empty"
-/// and exit, so the requeued rounds always land on a live worker. With no
-/// survivor, the stranded jobs fail typed ([`fail_round`]).
-///
-/// Requeueing ignores [`DispatchOptions::work_stealing`]: steal-class
-/// compatibility is the static proof of result identity, stealing is
-/// just a scheduling policy, and every worker's exit condition is
-/// class-wide and lease-aware ([`next_round`]), so a survivor is always
-/// still there to take the rounds.
-#[allow(clippy::too_many_arguments)]
-fn abandon_shard(
-    me: usize,
-    queues: &Queues,
-    steal_class: &[usize],
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-) {
-    let mut qs = queues.inner.lock().expect("queues poisoned");
-    qs[me].dead = true;
-    let mut stranded: Vec<Round> = qs[me].rounds.drain(..).collect();
-    stranded.extend(qs[me].lease.take().map(|l| l.round));
-    let failed: Vec<Round> = match requeue_locked(&mut qs, me, stranded, steal_class) {
-        Ok(recovered) => {
-            if recovered > 0 {
-                admission.recovered.fetch_add(recovered, Ordering::Relaxed);
-            }
-            Vec::new()
-        }
-        Err(rounds) => rounds,
-    };
-    drop(qs);
-    // Wake everyone: exit-waiters re-check against the new dead flag and
-    // the (possibly) requeued rounds.
-    queues.work.notify_all();
-    for round in failed {
-        fail_round(round, me, in_flight, window, clock, admission);
-    }
-}
-
-/// One shard's worker loop: pop own rounds (interactive first), steal
-/// when idle, shed queue-expired deadlines, execute the rest on the
-/// shard's backend, stamp/record latency, fulfill tickets.
-///
-/// Every checked-out round is leased ([`QueueState::lease`]) until
-/// resolved, scripted chaos events (kill/stall) fire at checkout, and
-/// every job resolution is gated by its atomic claim so a recovered or
-/// hedged copy can never double-fulfil a ticket. A backend panic is
-/// contained here: the in-hand jobs fail typed, the shard abandons its
-/// queue, the worker exits — the dispatcher keeps serving on the
-/// survivors.
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    me: usize,
-    shards: &[Arc<ShardState>],
-    queues: &Queues,
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-    steal_class: &[usize],
-    round_waits: &Mutex<LatencyHistogram>,
-    options: &DispatchOptions,
-) {
-    let my = &shards[me];
-    let mut scratch = my.backend.scratch();
-    let mut costs: Vec<u64> = Vec::new();
-    let chaos = options.chaos.as_ref();
-    let kill_after = chaos.and_then(|c| c.kill_after(me));
-    let stall = chaos.and_then(|c| c.stall(me));
-    let mut rounds_done: u64 = 0;
-    // The previous round, kept alive until its lease is released so the
-    // release under the queues lock never frees the round's jobs.
-    let mut finished: Option<Round> = None;
-
-    loop {
-        let next = next_round(
-            me,
-            queues,
-            steal_class,
-            options.work_stealing,
-            options.priority_aging,
-            finished.is_some(),
-        );
-        drop(finished.take());
-        let Some(round) = next else {
-            return; // all queues I can serve are closed and empty
+    /// Pushes `rounds` onto the first surviving shard of `from`'s steal
+    /// class — the only requeue target statically proven result-identical
+    /// — under the queues lock the *caller* already holds, counting the
+    /// jobs not already resolved by another copy as recovered. Returns the
+    /// rounds back when no survivor exists.
+    ///
+    /// Taking the lock as a parameter is what makes every recovery move
+    /// atomic with the liveness checks around it: a peer deciding to exit
+    /// serializes against this push on the same lock, so it either sees
+    /// the requeued rounds or the requeue sees it still alive.
+    fn requeue_locked(
+        &self,
+        qs: &mut [QueueState],
+        from: usize,
+        rounds: Vec<Round>,
+    ) -> Result<(), Vec<Round>> {
+        let class = self.steal_class[from];
+        let Some(t) =
+            (0..qs.len()).find(|&t| t != from && !qs[t].dead && self.steal_class[t] == class)
+        else {
+            return Err(rounds);
         };
-        // Feed the round's observed queue wait to the hedge trigger.
-        if options.hedge.is_some() {
-            let waited = Instant::now().duration_since(round.closed_at).as_nanos() as u64;
-            round_waits
-                .lock()
-                .expect("round waits poisoned")
-                .record(waited);
-        }
-        if kill_after.is_some_and(|after| rounds_done >= after) {
-            // Scripted death at checkout: drop the in-hand round — the
-            // lease copy owns its recovery — and abandon everything.
-            drop(round);
-            abandon_shard(me, queues, steal_class, in_flight, window, clock, admission);
-            return;
-        }
-        if let (Some(plan), Some(base)) = (chaos, stall) {
-            std::thread::sleep(plan.stall_for(me, rounds_done, base));
-        }
-        rounds_done += 1;
-        if round.home != me {
-            my.stolen.fetch_add(1, Ordering::Relaxed);
-        }
-        my.rounds.fetch_add(1, Ordering::Relaxed);
-        costs.clear();
-        // The latency lock is uncontended here: only this shard's worker
-        // writes it, and shutdown reads it after joining every worker.
-        let mut latency = my.latency.lock().expect("latency poisoned");
-        // Pass 1 — admission: stamp each job's execute-start on this
-        // copy's own timeline and run the last-chance deadline check
-        // (primary copies only — a mirror job's deadline stamp is always
-        // 0): if the deadline passed in queue, or the remaining service
-        // estimate no longer fits it, shed instead of executing. Shed
-        // jobs are fully resolved here and never reach the backend seam.
-        // Sheds are attributed to `round.home` — the shard whose backlog
-        // cost the job its deadline — not the executing shard.
-        let mut exec: Vec<(usize, Timeline)> = Vec::with_capacity(round.jobs.len());
-        for (i, job) in round.jobs.iter().enumerate() {
-            if job.already_resolved() {
-                continue; // another copy won the claim while we queued
+        let recovered = rounds
+            .iter()
+            .flat_map(|r| r.jobs.iter())
+            .filter(|j| !j.already_resolved())
+            .count();
+        self.admission
+            .recovered
+            .fetch_add(recovered as u64, Ordering::Relaxed);
+        qs[t].rounds.extend(rounds);
+        Ok(())
+    }
+
+    /// The one recovery path for rounds stranded on a dead shard `from` —
+    /// its backlog and lease when it dies ([`Shared::abandon_shard`]), or
+    /// a round ingestion closed for it afterwards. Requeues them onto a
+    /// surviving same-class shard under the caller's queues guard `qs`,
+    /// the same critical section that observed or marked the death, so no
+    /// peer can see the death without also seeing the requeue. With no
+    /// survivor, each unclaimed job fails typed
+    /// ([`ServeError::ShardLost`]), ledgered against the round's home.
+    ///
+    /// Requeueing ignores [`DispatchOptions::work_stealing`]: steal-class
+    /// compatibility is the static proof of result identity, stealing is
+    /// just a scheduling policy, and every worker's exit condition is
+    /// class-wide and lease-aware ([`Shared::next_round`]), so a survivor
+    /// is always still there to take the rounds.
+    fn recover(&self, mut qs: MutexGuard<'_, Vec<QueueState>>, from: usize, rounds: Vec<Round>) {
+        let stranded = self.requeue_locked(&mut qs, from, rounds).err();
+        drop(qs);
+        // Wake everyone: exit-waiters re-check against the new dead flag
+        // and the (possibly) requeued rounds.
+        self.work.notify_all();
+        for round in stranded.into_iter().flatten() {
+            for job in round.jobs.iter() {
+                let lost = Outcome::Failed(ServeError::ShardLost { shard: from });
+                self.resolve(job, round.home, lost, job.timeline);
             }
-            let mut timeline = job.timeline;
-            timeline.execute_start_ns = clock.now_ns();
-            if timeline.deadline_ns != 0 {
-                let now_ns = timeline.execute_start_ns;
-                if now_ns.saturating_add(admission.service_estimate()) > timeline.deadline_ns {
-                    if !job.claim() {
-                        continue;
-                    }
-                    timeline.completed_ns = clock.now_ns();
+        }
+    }
+
+    /// A worker's dying act (chaos kill or contained panic): marks the
+    /// shard dead and hands its entire failure domain — queued rounds
+    /// plus the round it had checked out on lease — to [`Shared::recover`]
+    /// within the same queues-lock acquisition.
+    fn abandon_shard(&self, me: usize) {
+        let mut qs = self.queues();
+        qs[me].dead = true;
+        let mut stranded: Vec<Round> = qs[me].rounds.drain(..).collect();
+        stranded.extend(qs[me].lease.take().map(|l| l.round));
+        self.recover(qs, me, stranded);
+    }
+
+    /// One shard's worker loop: pop own rounds (interactive first), steal
+    /// when idle, shed queue-expired deadlines, execute the rest on the
+    /// shard's backend, stamp/record latency, resolve tickets.
+    ///
+    /// Every checked-out round is leased ([`QueueState::lease`]) until
+    /// resolved, scripted chaos events (kill/stall) fire at checkout, and
+    /// every job resolves through [`Shared::resolve`], whose claim keeps a
+    /// recovered or hedged copy from double-fulfilling a ticket. A backend
+    /// panic is contained here: the in-hand jobs fail typed, the shard
+    /// abandons its queue, the worker exits — the dispatcher keeps
+    /// serving on the survivors.
+    fn shard_loop(&self, me: usize) {
+        let my = &self.shards[me];
+        let mut scratch = my.backend.scratch();
+        let mut costs: Vec<u64> = Vec::new();
+        let chaos = self.options.chaos.as_ref();
+        let kill_after = chaos.and_then(|c| c.kill_after(me));
+        let stall = chaos.and_then(|c| c.stall(me));
+        let mut rounds_done: u64 = 0;
+        // The previous round, kept alive until its lease is released so
+        // the release under the queues lock never frees the round's jobs.
+        let mut finished: Option<Round> = None;
+
+        loop {
+            let next = self.next_round(me, finished.is_some());
+            drop(finished.take());
+            let Some(round) = next else {
+                return; // all queues I can serve are closed and empty
+            };
+            // Feed the round's observed queue wait to the hedge trigger.
+            if self.options.hedge.is_some() {
+                let waited = Instant::now().duration_since(round.closed_at).as_nanos() as u64;
+                self.round_waits
+                    .lock()
+                    .expect("round waits poisoned")
+                    .record(waited);
+            }
+            if kill_after.is_some_and(|after| rounds_done >= after) {
+                // Scripted death at checkout: drop the in-hand round — the
+                // lease copy owns its recovery — and abandon everything.
+                drop(round);
+                self.abandon_shard(me);
+                return;
+            }
+            if let (Some(plan), Some(base)) = (chaos, stall) {
+                std::thread::sleep(plan.stall_for(me, rounds_done, base));
+            }
+            rounds_done += 1;
+            if round.home != me {
+                my.stolen.fetch_add(1, Ordering::Relaxed);
+            }
+            my.rounds.fetch_add(1, Ordering::Relaxed);
+            costs.clear();
+            // Pass 1 — admission: stamp each job's execute-start on this
+            // copy's own timeline and run the last-chance deadline check
+            // (primary copies only — a mirror job's deadline stamp is
+            // always 0): if the deadline passed in queue, or the remaining
+            // service estimate no longer fits it, shed instead of
+            // executing. Shed jobs never reach the backend seam.
+            let mut exec: Vec<(usize, Timeline)> = Vec::with_capacity(round.jobs.len());
+            for (i, job) in round.jobs.iter().enumerate() {
+                if job.already_resolved() {
+                    continue; // another copy won the claim while we queued
+                }
+                let mut timeline = job.timeline;
+                let now_ns = self.clock.now_ns();
+                timeline.execute_start_ns = now_ns;
+                if timeline.deadline_ns != 0
+                    && now_ns.saturating_add(self.admission.service_estimate())
+                        > timeline.deadline_ns
+                {
                     let reason = ShedReason::DeadlineExpired {
                         now_ns,
                         deadline_ns: timeline.deadline_ns,
                     };
-                    admission.note_shed(job.priority.index(), round.home, reason);
-                    if let Some(ticket) = &job.ticket {
-                        ticket.fulfill(Outcome::Shed { reason }, timeline);
-                    }
-                    window.mark_complete(timeline.completed_ns);
-                    in_flight.dec();
+                    self.resolve(job, round.home, Outcome::Shed { reason }, timeline);
                     continue;
                 }
+                exec.push((i, timeline));
             }
-            exec.push((i, timeline));
-        }
-        // Pass 2 — execute the survivors as one round through the seam:
-        // backends with per-program setup cost amortize it across the
-        // round's repeat-program jobs ([`Backend::execute_round`]), and a
-        // stolen round flows through identically to a home round. An
-        // empty survivor set never reaches the seam — a round of expired
-        // deadlines (or fully claimed-away jobs) must not charge a
-        // backend its per-round setup cost for zero requests.
-        let outcomes = if exec.is_empty() {
-            Vec::new()
-        } else {
-            let requests: Vec<&Request> =
-                exec.iter().map(|&(i, _)| &round.jobs[i].request).collect();
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                my.backend.execute_round(&mut scratch, &requests)
-            }));
-            drop(requests);
-            match caught {
-                Ok(outcomes) => outcomes,
-                Err(_) => {
-                    // Contained backend panic: the in-hand jobs fail
-                    // typed (the panicking round must terminate, not
-                    // requeue forever), the queue backlog recovers, the
-                    // worker exits.
-                    drop(latency);
-                    for (i, mut timeline) in exec {
-                        let job = &round.jobs[i];
-                        if !job.claim() {
-                            continue;
+            // Pass 2 — execute the survivors as one round through the
+            // seam: backends with per-program setup cost amortize it
+            // across the round's repeat-program jobs
+            // ([`Backend::execute_round`]), and a stolen round flows
+            // through identically to a home round. An empty survivor set
+            // never reaches the seam — a round of expired deadlines (or
+            // fully claimed-away jobs) must not charge a backend its
+            // per-round setup cost for zero requests.
+            let outcomes = if exec.is_empty() {
+                Vec::new()
+            } else {
+                let requests: Vec<&Request> =
+                    exec.iter().map(|&(i, _)| &round.jobs[i].request).collect();
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    my.backend.execute_round(&mut scratch, &requests)
+                }));
+                drop(requests);
+                match caught {
+                    Ok(outcomes) => outcomes,
+                    Err(_) => {
+                        // Contained backend panic: the in-hand jobs fail
+                        // typed (the panicking round must terminate, not
+                        // requeue forever), the queue backlog recovers,
+                        // the worker exits.
+                        for (i, timeline) in exec {
+                            let lost = Outcome::Failed(ServeError::ShardLost { shard: me });
+                            self.resolve(&round.jobs[i], round.home, lost, timeline);
                         }
-                        timeline.completed_ns = clock.now_ns();
-                        if let Some(ticket) = &job.ticket {
-                            admission.note_failed(job.priority.index(), round.home);
-                            ticket.fulfill(
-                                Outcome::Failed(ServeError::ShardLost { shard: me }),
-                                timeline,
-                            );
-                        }
-                        window.mark_complete(timeline.completed_ns);
-                        in_flight.dec();
+                        // The poisoned round's jobs are all resolved:
+                        // release its lease so recovery does not requeue
+                        // it.
+                        self.queues()[me].lease = None;
+                        self.abandon_shard(me);
+                        return;
                     }
-                    // The poisoned round's jobs are all resolved: release
-                    // its lease so recovery does not requeue it.
-                    queues.inner.lock().expect("queues poisoned")[me].lease = None;
-                    abandon_shard(me, queues, steal_class, in_flight, window, clock, admission);
-                    return;
                 }
-            }
-        };
-        let executed = exec.len() as u64;
-        // Pass 3 — per-job accounting in request order: each job keeps
-        // its own completion stamp, service cycles, latency record and
-        // ticket outcome, exactly as when jobs executed one by one. The
-        // claim gate makes resolution exactly-once against recovered and
-        // hedged copies; whichever copy claims first wins, and because
-        // identical-class backends are result-identical the outcome bytes
-        // are the same either way.
-        for ((i, mut timeline), result) in exec.into_iter().zip(outcomes) {
-            let job = &round.jobs[i];
-            if !job.claim() {
-                continue; // lost the race to another copy after executing
-            }
-            if let Ok(res) = &result {
-                costs.push(res.cycles);
-                my.dag_ops.fetch_add(res.dag_ops, Ordering::Relaxed);
-                timeline.service_cycles = res.cycles;
-            }
-            timeline.completed_ns = clock.now_ns();
-            if result.is_ok() {
-                latency.record(&timeline);
-                if !my.mirror {
-                    // Feed the live estimates the shed projections run on
-                    // (primary observations only — mirrors model other
-                    // hardware and would skew the serving estimate).
-                    admission.observe(timeline.queueing_delay_ns(), timeline.service_ns());
-                }
-            }
-            if let Some(ticket) = &job.ticket {
+            };
+            let executed = exec.len() as u64;
+            // Pass 3 — per-job resolution in request order: each job keeps
+            // its own completion stamp, service cycles, latency record and
+            // ticket outcome, exactly as when jobs executed one by one.
+            // Whichever copy claims first wins, and because identical-
+            // class backends are result-identical the outcome bytes are
+            // the same either way. The latency lock is uncontended: only
+            // this shard's worker writes it, and shutdown reads it after
+            // joining every worker.
+            let mut latency = my.latency.lock().expect("latency poisoned");
+            for ((i, mut timeline), result) in exec.into_iter().zip(outcomes) {
+                let job = &round.jobs[i];
+                let cost = result.as_ref().ok().map(|res| (res.cycles, res.dag_ops));
                 let outcome = match result {
                     Ok(res) => {
-                        admission.note_completed(job.priority.index(), round.home);
+                        timeline.service_cycles = res.cycles;
                         Outcome::Completed(res)
                     }
-                    Err(e) => {
-                        // A backend that *returns* an error (vs. one that
-                        // panics) is a per-job failure, not a completion:
-                        // ledger it as `failed` so the balance equation
-                        // stays honest.
-                        admission.note_failed(job.priority.index(), round.home);
-                        Outcome::Failed(e)
-                    }
+                    // A backend that *returns* an error (vs. one that
+                    // panics) is a per-job failure, not a completion.
+                    Err(e) => Outcome::Failed(e),
                 };
-                if round.hedge {
-                    admission.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                }
-                ticket.fulfill(outcome, timeline);
-            }
-            window.mark_complete(timeline.completed_ns);
-            in_flight.dec();
-        }
-        drop(latency);
-        my.requests.fetch_add(executed, Ordering::Relaxed);
-        if !costs.is_empty() {
-            my.modelled_cycles.fetch_add(
-                my.backend.round_cycles(&costs, options.cores),
-                Ordering::Relaxed,
-            );
-        }
-        finished = Some(round);
-    }
-}
-
-/// The failure supervisor, spawned only when stall reclaim or hedging is
-/// configured. Each tick it (1) reclaims leases checked out longer than
-/// [`DispatchOptions::stall_timeout`] and requeues the copies onto live
-/// same-class shards — atomically under the queues lock, like every
-/// recovery move — and (2) runs the hedge pass. A reclaimed round with no
-/// surviving peer is *dropped*, not failed: its stalled holder is alive
-/// and still resolves the original. The supervisor outlives the workers
-/// (it is stopped after they join) so a stall detected during the final
-/// drain still recovers.
-fn supervisor_loop(
-    stop: &AtomicBool,
-    queues: &Queues,
-    round_waits: &Mutex<LatencyHistogram>,
-    steal_class: &[usize],
-    primaries: usize,
-    admission: &Admission,
-    options: &DispatchOptions,
-) {
-    let tick = {
-        let mut t = Duration::from_millis(10);
-        if let Some(stall) = options.stall_timeout {
-            t = t.min(stall / 4);
-        }
-        if let Some(hedge) = &options.hedge {
-            t = t.min(hedge.min_wait / 4);
-        }
-        t.max(Duration::from_micros(100))
-    };
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
-        if let Some(timeout) = options.stall_timeout {
-            let now = Instant::now();
-            let mut qs = queues.inner.lock().expect("queues poisoned");
-            let mut recovered = 0u64;
-            let mut pushed = false;
-            for holder in 0..qs.len() {
-                let stalled = |l: &mut Lease| now.duration_since(l.checked_out) >= timeout;
-                let Some(lease) = qs[holder].lease.take_if(stalled) else {
-                    continue;
+                let Some(timeline) = self.resolve(job, round.home, outcome, timeline) else {
+                    continue; // lost the race to another copy after executing
                 };
-                if let Ok(n) = requeue_locked(&mut qs, holder, vec![lease.round], steal_class) {
-                    recovered += n;
-                    pushed = true;
+                if let Some((cycles, dag_ops)) = cost {
+                    costs.push(cycles);
+                    my.dag_ops.fetch_add(dag_ops, Ordering::Relaxed);
+                    latency.record(&timeline);
                 }
-                // Err: no surviving peer — drop the copy; the stalled
-                // holder is still alive and resolves the original.
+                if round.hedge && job.ticket.is_some() {
+                    self.admission.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            drop(qs);
-            if recovered > 0 {
-                admission.recovered.fetch_add(recovered, Ordering::Relaxed);
+            drop(latency);
+            my.requests.fetch_add(executed, Ordering::Relaxed);
+            if !costs.is_empty() {
+                my.modelled_cycles.fetch_add(
+                    my.backend.round_cycles(&costs, self.options.cores),
+                    Ordering::Relaxed,
+                );
             }
-            if pushed {
-                queues.work.notify_all();
-            }
-        }
-        if let Some(hedge) = &options.hedge {
-            hedge_pass(
-                queues,
-                round_waits,
-                steal_class,
-                primaries,
-                admission,
-                hedge,
-            );
+            finished = Some(round);
         }
     }
-}
 
-/// One hedge sweep: any queued round on a live primary that has waited
-/// past `max(observed wait at trigger_percentile, min_wait)` gets one
-/// copy pushed to an idle (empty-queue, live) shard of the same steal
-/// class. The original is marked `hedged` (never hedged twice), the copy
-/// `hedge` (its claimed-job completions count as hedge wins). The busy
-/// map keeps two hedges from landing on one idle shard in a single pass.
-fn hedge_pass(
-    queues: &Queues,
-    round_waits: &Mutex<LatencyHistogram>,
-    steal_class: &[usize],
-    primaries: usize,
-    admission: &Admission,
-    hedge: &HedgeOptions,
-) {
-    let threshold = {
-        let waits = round_waits.lock().expect("round waits poisoned");
-        let observed_ns = if waits.is_empty() {
-            0
-        } else {
-            waits.value_at_quantile(f64::from(hedge.trigger_percentile) / 100.0)
+    /// The failure supervisor, spawned only when stall reclaim or hedging
+    /// is configured. Each tick it (1) reclaims leases checked out longer
+    /// than [`DispatchOptions::stall_timeout`] and requeues the copies
+    /// onto live same-class shards — atomically under the queues lock,
+    /// like every recovery move — and (2) runs the hedge pass. A reclaimed
+    /// round with no surviving peer is *dropped*, not failed: its stalled
+    /// holder is alive and still resolves the original. The supervisor
+    /// outlives the workers (it is stopped after they join) so a stall
+    /// detected during the final drain still recovers.
+    fn supervisor_loop(&self) {
+        let tick = {
+            let mut t = Duration::from_millis(10);
+            if let Some(stall) = self.options.stall_timeout {
+                t = t.min(stall / 4);
+            }
+            if let Some(hedge) = &self.options.hedge {
+                t = t.min(hedge.min_wait / 4);
+            }
+            t.max(Duration::from_micros(100))
         };
-        Duration::from_nanos(observed_ns).max(hedge.min_wait)
-    };
-    let now = Instant::now();
-    let mut qs = queues.inner.lock().expect("queues poisoned");
-    let n = qs.len();
-    let mut busy: Vec<bool> = (0..n)
-        .map(|t| qs[t].dead || !qs[t].rounds.is_empty())
-        .collect();
-    let mut hedged_jobs = 0u64;
-    let mut pushed = false;
-    for s in 0..primaries.min(n) {
-        if qs[s].dead {
-            continue;
+        while !self.supervisor_stop.load(Ordering::Relaxed) {
+            std::thread::sleep(tick);
+            if let Some(timeout) = self.options.stall_timeout {
+                let now = Instant::now();
+                let mut qs = self.queues();
+                let mut pushed = false;
+                for holder in 0..qs.len() {
+                    let stalled = |l: &mut Lease| now.duration_since(l.checked_out) >= timeout;
+                    let Some(lease) = qs[holder].lease.take_if(stalled) else {
+                        continue;
+                    };
+                    // Err: no surviving peer — drop the copy; the stalled
+                    // holder is still alive and resolves the original.
+                    pushed |= self
+                        .requeue_locked(&mut qs, holder, vec![lease.round])
+                        .is_ok();
+                }
+                drop(qs);
+                if pushed {
+                    self.work.notify_all();
+                }
+            }
+            if let Some(hedge) = &self.options.hedge {
+                self.hedge_pass(hedge);
+            }
         }
-        // Plan against the immutable queue first, then apply: indices
-        // stay valid because the plan only reads and the apply only
-        // mutates flags and *other* shards' queues.
-        let mut plan: Vec<(usize, usize)> = Vec::new();
-        for (i, r) in qs[s].rounds.iter().enumerate() {
-            if r.hedged || r.hedge || now.duration_since(r.closed_at) < threshold {
+    }
+
+    /// One hedge sweep: any queued round on a live primary that has waited
+    /// past `max(observed wait at trigger_percentile, min_wait)` gets one
+    /// copy pushed to an idle (empty-queue, live) shard of the same steal
+    /// class. The original is marked `hedged` (never hedged twice), the
+    /// copy `hedge` (its claimed-job completions count as hedge wins). The
+    /// busy map keeps two hedges from landing on one idle shard in a
+    /// single pass.
+    fn hedge_pass(&self, hedge: &HedgeOptions) {
+        let threshold = {
+            let waits = self.round_waits.lock().expect("round waits poisoned");
+            let observed_ns = if waits.is_empty() {
+                0
+            } else {
+                waits.value_at_quantile(f64::from(hedge.trigger_percentile) / 100.0)
+            };
+            Duration::from_nanos(observed_ns).max(hedge.min_wait)
+        };
+        let now = Instant::now();
+        let steal_class = &self.steal_class;
+        let mut qs = self.queues();
+        let n = qs.len();
+        let mut busy: Vec<bool> = (0..n)
+            .map(|t| qs[t].dead || !qs[t].rounds.is_empty())
+            .collect();
+        let mut hedged_jobs = 0u64;
+        let mut pushed = false;
+        for s in 0..self.primaries.min(n) {
+            if qs[s].dead {
                 continue;
             }
-            let Some(t) = (0..n).find(|&t| t != s && !busy[t] && steal_class[t] == steal_class[s])
-            else {
-                break; // no idle same-class peer left this pass
-            };
-            busy[t] = true;
-            plan.push((i, t));
+            // Plan against the immutable queue first, then apply: indices
+            // stay valid because the plan only reads and the apply only
+            // mutates flags and *other* shards' queues.
+            let mut plan: Vec<(usize, usize)> = Vec::new();
+            for (i, r) in qs[s].rounds.iter().enumerate() {
+                if r.hedged || r.hedge || now.duration_since(r.closed_at) < threshold {
+                    continue;
+                }
+                let Some(t) =
+                    (0..n).find(|&t| t != s && !busy[t] && steal_class[t] == steal_class[s])
+                else {
+                    break; // no idle same-class peer left this pass
+                };
+                busy[t] = true;
+                plan.push((i, t));
+            }
+            for (i, t) in plan {
+                let copy = {
+                    let r = &mut qs[s].rounds[i];
+                    r.hedged = true;
+                    let mut c = r.clone();
+                    c.hedge = true;
+                    c
+                };
+                hedged_jobs += copy.jobs.iter().filter(|j| !j.already_resolved()).count() as u64;
+                qs[t].rounds.push_back(copy);
+                pushed = true;
+            }
         }
-        for (i, t) in plan {
-            let copy = {
-                let r = &mut qs[s].rounds[i];
-                r.hedged = true;
-                let mut c = r.clone();
-                c.hedge = true;
-                c
-            };
-            hedged_jobs += copy.jobs.iter().filter(|j| !j.already_resolved()).count() as u64;
-            qs[t].rounds.push_back(copy);
-            pushed = true;
+        drop(qs);
+        if hedged_jobs > 0 {
+            self.admission
+                .hedged
+                .fetch_add(hedged_jobs, Ordering::Relaxed);
+        }
+        if pushed {
+            self.work.notify_all();
         }
     }
-    drop(qs);
-    if hedged_jobs > 0 {
-        admission.hedged.fetch_add(hedged_jobs, Ordering::Relaxed);
-    }
-    if pushed {
-        queues.work.notify_all();
-    }
-}
 
-/// Releases `me`'s lease if its previous round is `finished`, then blocks
-/// until `me` has a round to execute and leases it
-/// ([`QueueState::lease`]). Both happen under the queues lock: a round is always either queued or
-/// leased, so no peer can see it in neither place and exit early, and a
-/// peer waiting out a lease is either woken by its release or sees it
-/// gone. Selection is priority-aware on both paths:
-///
-/// - **Own queue:** the best-ranked round, oldest first within a rank
-///   ([`Round::effective_rank`] — interactive rounds jump ahead of
-///   earlier-closed batch rounds, and the aging floor promotes anything
-///   that has waited out [`DispatchOptions::priority_aging`]).
-/// - **Stealing:** from the deepest same-class backlog, the best-ranked
-///   round, *newest* first within a rank (the victim drains oldest-first,
-///   so thief and victim meet in the middle).
-///
-/// With single-class traffic and no aged rounds this degrades exactly to
-/// the old FIFO-pop / newest-steal behavior. Returns `None` once every
-/// same-class queue is closed, empty and without a lease out.
-///
-/// The exit condition is class-wide even with stealing off: recovery and
-/// hedging requeue onto same-class peers regardless of the stealing
-/// policy, so an idle worker must stay alive while any same-class queue
-/// still has (or could receive) work. The worker also waits out every
-/// outstanding same-class *lease* — a peer holding one could still die
-/// and requeue its in-hand round here. Once all same-class queues are
-/// closed+empty and no lease is out, no new work can materialize (every
-/// producer path starts from a queued round or a lease), so the
-/// condition is stable.
-fn next_round(
-    me: usize,
-    queues: &Queues,
-    steal_class: &[usize],
-    stealing: bool,
-    aging: Duration,
-    finished: bool,
-) -> Option<Round> {
-    let mut qs = queues.inner.lock().expect("queues poisoned");
-    if finished {
-        qs[me].lease = None;
-        // Peers only wait out leases once ingestion has closed every
-        // queue, so that is the only time a release needs to wake them.
-        if qs[me].closed {
-            queues.work.notify_all();
+    /// Releases `me`'s lease if its previous round is `finished`, then
+    /// blocks until `me` has a round to execute and leases it
+    /// ([`QueueState::lease`]). Both happen under the queues lock: a round
+    /// is always either queued or leased, so no peer can see it in
+    /// neither place and exit early, and a peer waiting out a lease is
+    /// either woken by its release or sees it gone. Selection is
+    /// priority-aware on both paths:
+    ///
+    /// - **Own queue:** the best-ranked round, oldest first within a rank
+    ///   ([`Round::effective_rank`] — interactive rounds jump ahead of
+    ///   earlier-closed batch rounds, and the aging floor promotes
+    ///   anything that has waited out
+    ///   [`DispatchOptions::priority_aging`]).
+    /// - **Stealing:** from the deepest same-class backlog, the best-ranked
+    ///   round, *newest* first within a rank (the victim drains
+    ///   oldest-first, so thief and victim meet in the middle).
+    ///
+    /// With single-class traffic and no aged rounds this degrades exactly
+    /// to the old FIFO-pop / newest-steal behavior. Returns `None` once
+    /// every same-class queue is closed, empty and without a lease out.
+    ///
+    /// The exit condition is class-wide even with stealing off: recovery
+    /// and hedging requeue onto same-class peers regardless of the
+    /// stealing policy, so an idle worker must stay alive while any
+    /// same-class queue still has (or could receive) work. The worker also
+    /// waits out every outstanding same-class *lease* — a peer holding one
+    /// could still die and requeue its in-hand round here. Once all
+    /// same-class queues are closed+empty and no lease is out, no new work
+    /// can materialize (every producer path starts from a queued round or
+    /// a lease), so the condition is stable.
+    fn next_round(&self, me: usize, finished: bool) -> Option<Round> {
+        let steal_class = &self.steal_class;
+        let aging = self.options.priority_aging;
+        let mut qs = self.queues();
+        if finished {
+            qs[me].lease = None;
+            // Peers only wait out leases once ingestion has closed every
+            // queue, so that is the only time a release needs to wake them.
+            if qs[me].closed {
+                self.work.notify_all();
+            }
         }
-    }
-    loop {
-        let mut source = None;
-        if !qs[me].rounds.is_empty() {
-            let now = Instant::now();
-            let best = qs[me]
-                .rounds
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, r)| (r.effective_rank(aging, now), *i))
-                .map(|(i, _)| i)
-                .expect("nonempty queue");
-            source = Some((me, best));
-        } else if stealing {
-            // Deepest backlog among shards whose class matches mine.
-            let victim = (0..qs.len())
-                .filter(|&j| j != me && steal_class[j] == steal_class[me])
-                .max_by_key(|&j| qs[j].rounds.len())
-                .filter(|&j| !qs[j].rounds.is_empty());
-            if let Some(j) = victim {
+        loop {
+            let mut source = None;
+            if !qs[me].rounds.is_empty() {
                 let now = Instant::now();
-                let len = qs[j].rounds.len();
-                let best = qs[j]
+                let best = qs[me]
                     .rounds
                     .iter()
                     .enumerate()
-                    .min_by_key(|(i, r)| (r.effective_rank(aging, now), len - *i))
+                    .min_by_key(|(i, r)| (r.effective_rank(aging, now), *i))
                     .map(|(i, _)| i)
-                    .expect("nonempty victim");
-                source = Some((j, best));
+                    .expect("nonempty queue");
+                source = Some((me, best));
+            } else if self.options.work_stealing {
+                // Deepest backlog among shards whose class matches mine.
+                let victim = (0..qs.len())
+                    .filter(|&j| j != me && steal_class[j] == steal_class[me])
+                    .max_by_key(|&j| qs[j].rounds.len())
+                    .filter(|&j| !qs[j].rounds.is_empty());
+                if let Some(j) = victim {
+                    let now = Instant::now();
+                    let len = qs[j].rounds.len();
+                    let best = qs[j]
+                        .rounds
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(i, r)| (r.effective_rank(aging, now), len - *i))
+                        .map(|(i, _)| i)
+                        .expect("nonempty victim");
+                    source = Some((j, best));
+                }
             }
+            if let Some((j, i)) = source {
+                let round = qs[j].rounds.remove(i).expect("index in range");
+                qs[me].lease = Some(Lease {
+                    checked_out: Instant::now(),
+                    round: round.clone(),
+                });
+                return Some(round);
+            }
+            if (0..qs.len())
+                .filter(|&j| steal_class[j] == steal_class[me])
+                .all(|j| qs[j].closed && qs[j].rounds.is_empty() && qs[j].lease.is_none())
+            {
+                return None;
+            }
+            qs = self.work.wait(qs).expect("queues poisoned");
         }
-        if let Some((j, i)) = source {
-            let round = qs[j].rounds.remove(i).expect("index in range");
-            qs[me].lease = Some(Lease {
-                checked_out: Instant::now(),
-                round: round.clone(),
-            });
-            return Some(round);
-        }
-        if (0..qs.len())
-            .filter(|&j| steal_class[j] == steal_class[me])
-            .all(|j| qs[j].closed && qs[j].rounds.is_empty() && qs[j].lease.is_none())
-        {
-            return None;
-        }
-        qs = queues.work.wait(qs).expect("queues poisoned");
     }
 }

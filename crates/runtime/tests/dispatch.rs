@@ -332,39 +332,50 @@ fn heterogeneous_shards_route_by_key_and_never_cross_steal() {
 #[test]
 fn rounds_close_by_size_under_burst_and_by_timer_under_trickle() {
     let dags = workload_dags();
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 10,
-            max_wait: Duration::from_millis(5),
-            ..Default::default()
-        },
-    );
+    let one_shard = |max_wait: Duration| {
+        Dispatcher::new(
+            arch(),
+            CompileOptions::default(),
+            DispatchOptions {
+                shards: 1,
+                max_batch: 10,
+                max_wait,
+                ..Default::default()
+            },
+        )
+    };
+    // Burst: 30 requests at once -> three full rounds of 10. The latency
+    // budget cannot fire during the test, however slowly they arrive.
+    let d = one_shard(Duration::from_secs(3600));
     let key = d.register(dags[3].clone());
     let sub = d.submitter();
-    // Burst: 30 requests at once -> three full rounds of 10.
     let burst: Vec<Ticket> = (0..30)
         .map(|i| sub.submit(Request::new(key, vec![i as f32, 1.0])).unwrap())
         .collect();
     for t in burst {
         t.wait().unwrap();
     }
+    let report = d.shutdown();
+    assert_eq!(report.served, 30);
+    assert_eq!(
+        (report.rounds_closed_full, report.rounds_closed_timer),
+        (3, 0),
+        "burst should close full rounds only: {report:?}"
+    );
     // Trickle: two lone requests, each forced out by the 5 ms budget.
+    let d = one_shard(Duration::from_millis(5));
+    let key = d.register(dags[3].clone());
+    let sub = d.submitter();
     for i in 0..2 {
         let t = sub.submit(Request::new(key, vec![i as f32, 2.0])).unwrap();
         t.wait().unwrap();
     }
     let report = d.shutdown();
-    assert_eq!(report.served, 32);
-    assert!(
-        report.rounds_closed_full >= 3,
-        "burst should close full rounds: {report:?}"
-    );
-    assert!(
-        report.rounds_closed_timer >= 2,
-        "trickle should close timer rounds: {report:?}"
+    assert_eq!(report.served, 2);
+    assert_eq!(
+        (report.rounds_closed_full, report.rounds_closed_timer),
+        (0, 2),
+        "trickle should close timer rounds only: {report:?}"
     );
 }
 

@@ -6,7 +6,7 @@
 //! shutdown.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dpu_compiler::CompileOptions;
@@ -485,15 +485,63 @@ fn cold_retry_after_is_floored_at_max_wait() {
     d.shutdown();
 }
 
-/// A pass-through backend that sleeps `delay` per round before
-/// executing, keeping the inner engine's steal class (the results really
-/// are byte-identical — only the host-side timing differs).
-struct SlowBackend {
-    inner: Arc<dyn Backend>,
-    delay: Duration,
+/// A one-way latch: `wait` blocks until some thread calls `open`.
+#[derive(Default)]
+struct Latch {
+    open: Mutex<bool>,
+    opened: Condvar,
 }
 
-impl Backend for SlowBackend {
+impl Latch {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+}
+
+/// A pass-through backend that parks its shard's worker until `release`
+/// opens, keeping the inner engine's steal class (the results really are
+/// byte-identical — only the host-side schedule differs). With
+/// `park_at_start` the worker parks in `scratch()`, before it ever looks
+/// at a queue; otherwise it parks inside its first round, after opening
+/// `entered`.
+struct GatedBackend {
+    inner: Arc<dyn Backend>,
+    park_at_start: bool,
+    entered: Latch,
+    release: Latch,
+}
+
+impl GatedBackend {
+    fn new(inner: Arc<dyn Backend>, park_at_start: bool) -> Arc<Self> {
+        Arc::new(GatedBackend {
+            inner,
+            park_at_start,
+            entered: Latch::default(),
+            release: Latch::default(),
+        })
+    }
+}
+
+/// Opens every gate's `release` when dropped.
+struct Unpark([Arc<GatedBackend>; 2]);
+
+impl Drop for Unpark {
+    fn drop(&mut self) {
+        for gate in &self.0 {
+            gate.release.open();
+        }
+    }
+}
+
+impl Backend for GatedBackend {
     fn platform(&self) -> &'static str {
         self.inner.platform()
     }
@@ -501,6 +549,9 @@ impl Backend for SlowBackend {
         self.inner.register(dag)
     }
     fn scratch(&self) -> Scratch {
+        if self.park_at_start {
+            self.release.wait();
+        }
         self.inner.scratch()
     }
     fn execute(&self, scratch: &mut Scratch, request: &Request) -> Result<RunResult, ServeError> {
@@ -511,7 +562,10 @@ impl Backend for SlowBackend {
         scratch: &mut Scratch,
         requests: &[&Request],
     ) -> Vec<Result<RunResult, ServeError>> {
-        std::thread::sleep(self.delay);
+        if !self.park_at_start {
+            self.entered.open();
+            self.release.wait();
+        }
         self.inner.execute_round(scratch, requests)
     }
     fn round_cycles(&self, costs: &[u64], cores: usize) -> u64 {
@@ -547,19 +601,15 @@ fn engine_backend(arch: ArchConfig) -> Arc<dyn Backend> {
 fn stolen_round_shed_is_attributed_to_home_shard() {
     let dag = small_dag();
     let home = home_shard(dag_fingerprint(&dag), 2);
-    // The home shard is 6× slower than its same-class peer, so the peer
-    // provably frees first and steals the doomed round off the home
-    // backlog — after the round's deadline has already expired.
-    let mut backends: Vec<Arc<dyn Backend>> = Vec::new();
-    for s in 0..2 {
-        backends.push(Arc::new(SlowBackend {
-            inner: engine_backend(arch()),
-            delay: if s == home {
-                Duration::from_millis(300)
-            } else {
-                Duration::from_millis(50)
-            },
-        }));
+    // Both workers are held while the doomed round's deadline burns down:
+    // the home worker inside its first round, the peer before it ever
+    // looks at a queue. Releasing only the peer then makes it the one
+    // that steals the doomed round off the home backlog.
+    let home_gate = GatedBackend::new(engine_backend(arch()), false);
+    let peer_gate = GatedBackend::new(engine_backend(arch()), true);
+    let mut backends: Vec<Arc<dyn Backend>> = vec![home_gate.clone(), peer_gate.clone()];
+    if home == 1 {
+        backends.swap(0, 1);
     }
     let d = Dispatcher::with_backends(
         backends,
@@ -596,20 +646,29 @@ fn stolen_round_shed_is_attributed_to_home_shard() {
     };
     let other_key = d.register(other_dag);
     let sub = d.submitter();
+    // Dropped before `d`: a failed assertion unparks both workers instead
+    // of hanging the dispatcher's teardown.
+    let _unpark = Unpark([home_gate.clone(), peer_gate.clone()]);
 
-    // Occupy both workers (each sleeps its own shard's delay), then
-    // submit the doomed round against the home backlog.
+    // Occupy the home worker, then queue the peer's own work and the
+    // doomed round behind it while both workers are held.
     let busy_home = sub.submit(Request::new(key, vec![1.0, 1.0])).unwrap();
+    home_gate.entered.wait();
     let busy_other = sub.submit(Request::new(other_key, vec![1.0, 1.0])).unwrap();
+    let deadline = Instant::now() + Duration::from_millis(20);
     let doomed = sub
         .submit_with(
             Request::new(key, vec![2.0, 2.0]),
-            SubmitOptions::default().deadline(Instant::now() + Duration::from_millis(20)),
+            SubmitOptions::default().deadline(deadline),
         )
         .expect("accepted: deadline still in the future");
 
-    // The peer frees at ~50 ms (home is busy until ~300 ms), steals the
-    // doomed round, and sheds it — the deadline died at 20 ms.
+    // Release the peer only once the deadline has died: it serves its own
+    // queue, steals the doomed round, and sheds it.
+    while Instant::now() <= deadline {
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+    }
+    peer_gate.release.open();
     match doomed.wait() {
         Outcome::Shed {
             reason: ShedReason::DeadlineExpired { .. },
@@ -620,12 +679,13 @@ fn stolen_round_shed_is_attributed_to_home_shard() {
     // The shed must have released the *home* depth slot: home offered 2
     // (busy + doomed) against capacity 2, so a third home submission is
     // admitted only if the stolen shed came back to the home ledger. The
-    // home worker is still busy (~300 ms), so no completion can mask a
+    // home worker is still held, so no completion can mask a
     // misattributed release.
     let probe = sub
         .submit(Request::new(key, vec![3.0, 3.0]))
         .expect("stolen shed must release the home shard's depth slot");
 
+    home_gate.release.open();
     d.drain();
     assert_eq!(busy_home.wait().unwrap().outputs, vec![4.0]);
     assert!(matches!(busy_other.wait(), Outcome::Completed(_)));

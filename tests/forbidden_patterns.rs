@@ -1,7 +1,8 @@
-//! Source-level lint enforcing two architectural invariants that the
-//! type system cannot: the simulator stays deterministic (no wall-clock
-//! reads), and the runtime's backpressure story stays intact (exactly
-//! one deliberately unbounded channel, behind the admission gate).
+//! Source-level lint enforcing architectural invariants that the type
+//! system cannot: the simulator stays deterministic (no wall-clock
+//! reads), the runtime's backpressure story stays intact (exactly one
+//! deliberately unbounded channel, behind the admission gate), and the
+//! dispatcher keeps one ticket-resolution path.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -115,6 +116,63 @@ fn runtime_builds_no_unbounded_channels_outside_the_ingest_gate() {
     assert!(
         hits.is_empty(),
         "dpu-runtime must not construct unbounded channels outside ingest.rs:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn dispatcher_resolves_tickets_in_one_place() {
+    // Resolving an accepted job is one rule — win the claim, stamp the
+    // completion, ledger the outcome, fulfil the ticket, mark the serving
+    // window, release the in-flight count — and `Shared::resolve` is its
+    // only copy. A second `.fulfill(` call site is a resolution path that
+    // can forget one of those steps.
+    let path = repo_root().join("crates/runtime/src/dispatch.rs");
+    let text = fs::read_to_string(&path).expect("dispatch.rs exists and is UTF-8");
+    let lines: Vec<&str> = text.lines().collect();
+    let sites: Vec<usize> = (0..lines.len())
+        .filter(|&i| !lines[i].trim_start().starts_with("//") && lines[i].contains(".fulfill("))
+        .collect();
+    let listed: Vec<String> = sites
+        .iter()
+        .map(|&i| format!("{}:{}: {}", path.display(), i + 1, lines[i].trim()))
+        .collect();
+    assert_eq!(
+        sites.len(),
+        1,
+        "dispatch.rs must fulfil tickets at exactly one call site:\n{}",
+        listed.join("\n")
+    );
+    let start = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("fn resolve("))
+        .expect("dispatch.rs keeps `fn resolve`");
+    let indent = lines[start].len() - lines[start].trim_start().len();
+    let end = (start..lines.len())
+        .find(|&i| lines[i] == format!("{}}}", " ".repeat(indent)))
+        .expect("`fn resolve` has a closing brace");
+    assert!(
+        (start..end).contains(&sites[0]),
+        "the one ticket fulfilment must sit inside `fn resolve` (lines {}-{}):\n{}",
+        start + 1,
+        end + 1,
+        listed.join("\n")
+    );
+}
+
+#[test]
+fn runtime_allows_no_long_parameter_lists() {
+    // The dispatcher's threads share their state through one `&Shared`;
+    // a `too_many_arguments` allowance is the hand-threaded state coming
+    // back.
+    let hits = offenders(
+        &repo_root().join("crates/runtime/src"),
+        "too_many_arguments",
+        &[],
+    );
+    assert!(
+        hits.is_empty(),
+        "dpu-runtime must not allow clippy::too_many_arguments:\n{}",
         hits.join("\n")
     );
 }
