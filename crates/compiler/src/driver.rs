@@ -1,3 +1,14 @@
+//! The compile pipeline: binarize → step 1 → step 2 → emission → step 3
+//! → step 4 → finalization, plus the options, errors and statistics.
+//!
+//! Step 1 is the only pass that runs on several threads: DAGs above
+//! [`CompileOptions::partition_threshold`] are partitioned GRAPHOPT-style
+//! and the partitions are decomposed concurrently by at most
+//! `available_parallelism()` workers
+//! ([`crate::step1::decompose_partitions`]). The blocks are concatenated in
+//! partition order and are identical to a sequential decomposition's, so
+//! the compiled program does not depend on the host's CPU count.
+
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -12,7 +23,7 @@ use crate::footprint::{footprint, Footprint};
 use crate::ir::{ConflictStats, DataLayout};
 use crate::reorder::reorder;
 use crate::spill::{insert_spills_with, SpillError, SpillPolicy};
-use crate::step1::{decompose, RawBlock};
+use crate::step1::{decompose, decompose_partitions};
 use crate::step2::{assign_banks, compute_needs_store, place_blocks, BankPolicy};
 
 /// Compiler options.
@@ -225,17 +236,16 @@ pub fn compile_binary(
     }
     let t0 = Instant::now();
 
-    // Step 1 (with GRAPHOPT partitioning for very large DAGs, §V-B).
-    let mut mapped = vec![false; bin.len()];
-    let raw: Vec<RawBlock> = if bin.len() > opts.partition_threshold {
-        let parts = partition::partition(bin, opts.partition_threshold);
-        let mut all = Vec::new();
-        for p in &parts {
-            all.extend(decompose(bin, cfg, Some(&p.nodes), &mut mapped));
-        }
-        all
+    // Step 1 (with GRAPHOPT partitioning for very large DAGs, §V-B; the
+    // partitions decompose concurrently).
+    let raw = if bin.len() > opts.partition_threshold {
+        decompose_partitions(
+            bin,
+            cfg,
+            &partition::partition(bin, opts.partition_threshold),
+        )
     } else {
-        decompose(bin, cfg, None, &mut mapped)
+        decompose(bin, cfg)
     };
 
     // Step 2.

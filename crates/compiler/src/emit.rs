@@ -354,8 +354,7 @@ mod tests {
     use dpu_dag::Op;
 
     fn emit_dag(dag: &Dag, cfg: &ArchConfig, policy: BankPolicy) -> Emitted {
-        let mut mapped = vec![false; dag.len()];
-        let raw = decompose(dag, cfg, None, &mut mapped);
+        let raw = decompose(dag, cfg);
         let outputs: Vec<NodeId> = dag.sinks().collect();
         let needs = compute_needs_store(dag, &raw, &outputs);
         let blocks = place_blocks(dag, cfg, raw, &needs);

@@ -526,6 +526,26 @@ mod tests {
     }
 
     #[test]
+    fn input_and_op_counts_match_a_scan_after_build_binarize_and_spill() {
+        let scan = |dag: &Dag| dag.nodes().filter(|&v| dag.op(v) == Op::Input).count();
+        let mut b = DagBuilder::new();
+        let xs: Vec<NodeId> = (0..5).map(|_| b.input()).collect();
+        let sum = b.node(Op::Add, &xs).unwrap();
+        b.node(Op::Mul, &[sum, xs[0], xs[3]]).unwrap();
+        let built = b.finish().unwrap();
+        let (bin, _) = built.binarize();
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let compiled = compile(&built, &cfg, &CompileOptions::default()).unwrap();
+        let reread = Compiled::from_bytes(&compiled.to_bytes()).unwrap();
+        for dag in [&built, &bin, &reread.bin_dag] {
+            assert_eq!(dag.input_count(), scan(dag));
+            assert_eq!(dag.op_count(), dag.len() - scan(dag));
+        }
+        assert_eq!(reread.bin_dag.input_count(), 5);
+        assert!(bin.op_count() > built.op_count(), "binarize adds nodes");
+    }
+
+    #[test]
     fn roundtrip_is_exact_and_canonical() {
         let c = sample();
         let bytes = c.to_bytes();

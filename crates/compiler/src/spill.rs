@@ -13,7 +13,7 @@
 //! model's occupancy is an upper bound of the hardware's and a fit here is
 //! a fit on silicon.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dpu_dag::NodeId;
 use dpu_isa::ArchConfig;
@@ -192,7 +192,8 @@ pub fn insert_spills_with(
         }
 
         // 3. Make room for this instruction's writes.
-        let mut per_bank: HashMap<u32, u32> = HashMap::new();
+        // Ordered by bank, so the eviction stores come out in one order.
+        let mut per_bank: BTreeMap<u32, u32> = BTreeMap::new();
         for (b, _) in ins.bank_writes() {
             *per_bank.entry(b).or_insert(0) += 1;
         }
@@ -261,9 +262,15 @@ fn ensure_capacity(
         let candidates = resident[bank as usize]
             .keys()
             .filter(|v| !pinned.contains(&(bank, **v)));
+        // Ties go to the lowest node id: `resident` iterates in an order
+        // that differs from process to process, and the program must not.
         let victim = match policy {
-            SpillPolicy::FurthestNextUse => candidates.max_by_key(|v| next_use_of(v)).copied(),
-            SpillPolicy::NearestNextUse => candidates.min_by_key(|v| next_use_of(v)).copied(),
+            SpillPolicy::FurthestNextUse => candidates
+                .max_by_key(|v| (next_use_of(v), std::cmp::Reverse(**v)))
+                .copied(),
+            SpillPolicy::NearestNextUse => {
+                candidates.min_by_key(|v| (next_use_of(v), **v)).copied()
+            }
             SpillPolicy::Arbitrary => candidates.min().copied(),
         };
         let Some(victim) = victim else {

@@ -15,9 +15,22 @@
 //! the paper's objectives: prefer larger cones (objective C, datapath
 //! utilization) close in depth-first order to the block's existing nodes
 //! (objective D, fewer inter-block dependencies).
+//!
+//! **Partitions in parallel.** §V-B decomposes each GRAPHOPT partition
+//! "independently into blocks", and [`decompose_partitions`] does so
+//! concurrently, with at most `min(partitions, available_parallelism())`
+//! workers of O(nodes) memory each. Partition `k`'s blocks depend only on
+//! the partition and on which nodes are mapped when it starts: inputs plus
+//! every partition below `k`. A worker reproduces exactly that state before
+//! each partition it claims, so the blocks, concatenated in partition
+//! order, are identical to a sequential decomposition's.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
+use dpu_dag::partition::Partition;
 use dpu_dag::{Dag, NodeId, Op};
 use dpu_isa::ArchConfig;
 
@@ -28,8 +41,14 @@ use crate::ir::Subgraph;
 /// anchor is its own ordinal. The anchor tracks the *center* of a node's
 /// ancestor cone in input space, so sweeping by anchor visits producers
 /// and consumers together regardless of depth (a min/DFS key would drift
-/// toward 0 as cones widen). See the comment at the use site in
-/// [`decompose`].
+/// toward 0 as cones widen).
+///
+/// The key serves objective D (few inter-block dependencies, short
+/// register lifetimes): for vtree-structured circuits the sweep is the
+/// vtree sweep; for triangular solves it degenerates to row order — in
+/// both cases consumers sit close to producers, unlike a plain DFS order
+/// whose fanout cross-edges span the whole traversal. The node id
+/// disambiguates the BTreeMap key; distances compare anchors only.
 fn locality_keys(dag: &Dag) -> Vec<u64> {
     let mut anchor = vec![0u32; dag.len()];
     for v in dag.nodes() {
@@ -58,257 +77,361 @@ pub struct RawBlock {
     pub subgraphs: Vec<Subgraph>,
 }
 
-/// Decomposes (a region of) the binarized DAG into blocks.
-///
-/// `region` restricts decomposition to a node subset (used by the GRAPHOPT
-/// partitioning path for very large DAGs, §V-B); pass `None` for the whole
-/// DAG. Nodes outside the region and [`Op::Input`] nodes are treated as
-/// already mapped. Returns blocks in execution order.
+/// Decomposes the whole binarized DAG into blocks, in execution order.
+/// [`Op::Input`] nodes are treated as already mapped.
 ///
 /// # Panics
 ///
-/// Panics if `dag` is not binary (run [`Dag::binarize`] first), or if the
-/// region is not predecessor-closed w.r.t. earlier regions (a region node
-/// whose predecessor is neither an input, nor outside the region, nor in
-/// the region itself cannot occur with GRAPHOPT partitions).
-pub fn decompose(
-    dag: &Dag,
-    cfg: &ArchConfig,
-    region: Option<&[NodeId]>,
-    already_mapped: &mut [bool],
-) -> Vec<RawBlock> {
-    assert!(dag.is_binary(), "step 1 requires a binarized DAG");
-    let d_max = cfg.depth;
-    let trees = cfg.trees();
-    let n = dag.len();
+/// Panics if `dag` is not binary (run [`Dag::binarize`] first).
+pub fn decompose(dag: &Dag, cfg: &ArchConfig) -> Vec<RawBlock> {
+    let keys = locality_keys(dag);
+    let all: Vec<NodeId> = dag.nodes().collect();
+    Decomposer::new(dag, cfg, &keys).decompose(&all)
+}
 
-    // `mapped` marks nodes whose values are available before the block being
-    // assembled: inputs, nodes from earlier regions, and earlier blocks.
-    let mapped = already_mapped;
-    debug_assert_eq!(mapped.len(), n);
-    for node in dag.nodes() {
-        if dag.op(node) == Op::Input {
-            mapped[node.index()] = true;
+/// Decomposes each GRAPHOPT partition into blocks (§V-B) and returns the
+/// blocks of all partitions in partition order.
+///
+/// The partitions are decomposed concurrently by at most
+/// `min(parts.len(), available_parallelism())` scoped workers. Each worker
+/// claims partition indices in increasing order and owns one O(nodes)
+/// decomposition state; before decomposing partition `k` it marks every
+/// partition below `k` that it has not decomposed itself as mapped. So
+/// partition `k` starts from exactly the state the sequential loop would
+/// hand it — inputs plus partitions `< k` mapped — and since a
+/// partition's blocks depend on nothing else, every partition yields the
+/// same blocks as a sequential decomposition.
+///
+/// # Panics
+///
+/// Panics if `dag` is not binary, or if `parts` are not predecessor-closed
+/// in index order (every edge into partition `k` must come from an input
+/// or a partition `≤ k`), which [`dpu_dag::partition::partition`]
+/// guarantees.
+pub fn decompose_partitions(dag: &Dag, cfg: &ArchConfig, parts: &[Partition]) -> Vec<RawBlock> {
+    let keys = locality_keys(dag);
+    let workers = thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(parts.len());
+    // The counter only hands out indices; results travel through `join`.
+    let next = AtomicUsize::new(0);
+    let mut per_part: Vec<Vec<RawBlock>> = vec![Vec::new(); parts.len()];
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut dec = Decomposer::new(dag, cfg, &keys);
+                    let mut mapped_below = 0;
+                    let mut done = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(part) = parts.get(k) else {
+                            break done;
+                        };
+                        for skipped in &parts[mapped_below..k] {
+                            dec.mark_mapped(&skipped.nodes);
+                        }
+                        done.push((k, dec.decompose(&part.nodes)));
+                        mapped_below = k + 1;
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (k, blocks) in done {
+                per_part[k] = blocks;
+            }
         }
-    }
-
-    let in_region: Option<Vec<bool>> = region.map(|r| {
-        let mut v = vec![false; n];
-        for &x in r {
-            v[x.index()] = true;
-        }
-        v
     });
-    let is_workable = |node: NodeId| -> bool {
-        dag.op(node) != Op::Input && in_region.as_ref().is_none_or(|r| r[node.index()])
-    };
+    per_part.into_iter().flatten().collect()
+}
 
-    // Locality key for objective D (few inter-block dependencies, short
-    // register lifetimes): nodes are swept in order of their leftmost
-    // input ancestor. For vtree-structured circuits this is the vtree
-    // sweep; for triangular solves it degenerates to row order — in both
-    // cases consumers sit close to producers, unlike a plain DFS order
-    // whose fanout cross-edges span the whole traversal. The node id
-    // disambiguates the BTreeMap key; distances compare anchors only.
-    let dfs = locality_keys(dag);
+/// Algorithm 1's state, sized once per DAG and reused across regions: the
+/// per-node arrays are O(nodes), every per-block and per-candidate buffer
+/// is cleared rather than reallocated, and a region's setup touches only
+/// the region's nodes.
+struct Decomposer<'a> {
+    dag: &'a Dag,
+    d_max: u32,
+    trees: u32,
+    /// Locality keys ([`locality_keys`]), shared by all workers.
+    keys: &'a [u64],
+    /// Nodes whose values are available before the block being assembled:
+    /// inputs, nodes of earlier regions, and earlier blocks.
+    mapped: Vec<bool>,
+    /// Non-input nodes of the region being decomposed.
+    workable: Vec<bool>,
+    /// udepth[v]: longest path (in nodes) of v's unmapped ancestor cone,
+    /// capped at d_max + 1 ("too deep"). 0 for mapped nodes.
+    udepth: Vec<u8>,
+    /// Candidate buckets: per depth 1..=d_max, candidates keyed by
+    /// locality for range scans.
+    buckets: Vec<BTreeMap<u64, NodeId>>,
+    in_bucket: Vec<bool>,
+    /// Nodes of the block under construction.
+    in_block: Vec<bool>,
+    /// Cone traversal: `visited[v] == epoch` marks v as in the cone being
+    /// collected.
+    visited: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NodeId>,
+    cone: Vec<NodeId>,
+    best_cone: Vec<NodeId>,
+    /// Bucket entries around the cursor that one placement inspects.
+    window: Vec<(u64, NodeId)>,
+}
 
-    // udepth[v]: longest path (in nodes) of v's unmapped ancestor cone,
-    // capped at d_max + 1 ("too deep"). 0 for mapped nodes.
-    let cap = (d_max + 1) as u8;
-    let mut udepth = vec![0u8; n];
-    for v in dag.nodes() {
-        if mapped[v.index()] || !is_workable(v) {
-            continue;
+impl<'a> Decomposer<'a> {
+    /// # Panics
+    ///
+    /// Panics if `dag` is not binary.
+    fn new(dag: &'a Dag, cfg: &ArchConfig, keys: &'a [u64]) -> Self {
+        assert!(dag.is_binary(), "step 1 requires a binarized DAG");
+        let n = dag.len();
+        Decomposer {
+            dag,
+            d_max: cfg.depth,
+            trees: cfg.trees(),
+            keys,
+            mapped: dag.nodes().map(|v| dag.op(v) == Op::Input).collect(),
+            workable: vec![false; n],
+            udepth: vec![0; n],
+            buckets: vec![BTreeMap::new(); cfg.depth as usize + 1],
+            in_bucket: vec![false; n],
+            in_block: vec![false; n],
+            visited: vec![0; n],
+            epoch: 0,
+            stack: Vec::new(),
+            cone: Vec::new(),
+            best_cone: Vec::new(),
+            window: Vec::new(),
         }
+    }
+
+    /// Marks `nodes` as mapped by an earlier region.
+    fn mark_mapped(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            self.mapped[v.index()] = true;
+        }
+    }
+
+    /// Collects v's unmapped ancestor cone into `self.cone` in topological
+    /// order (sink last). Cones are small: at most 2^(d+1) − 1 distinct
+    /// nodes for depth d.
+    fn collect_cone(&mut self, v: NodeId) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.visited.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.cone.clear();
+        self.cone.push(v);
+        self.visited[v.index()] = epoch;
+        self.stack.clear();
+        self.stack.push(v);
+        while let Some(x) = self.stack.pop() {
+            for &p in self.dag.preds(x) {
+                if !self.mapped[p.index()] && self.visited[p.index()] != epoch {
+                    self.visited[p.index()] = epoch;
+                    self.cone.push(p);
+                    self.stack.push(p);
+                }
+            }
+        }
+        self.cone.sort_unstable(); // ids are topological
+    }
+
+    /// udepth of an unmapped node from its predecessors' udepths.
+    fn unmapped_depth(&self, v: NodeId) -> u8 {
+        let cap = (self.d_max + 1) as u8;
         let mut m = 0u8;
-        for &p in dag.preds(v) {
-            if !mapped[p.index()] {
-                m = m.max(udepth[p.index()]);
+        for &p in self.dag.preds(v) {
+            if !self.mapped[p.index()] {
+                m = m.max(self.udepth[p.index()]);
             }
         }
-        udepth[v.index()] = (m + 1).min(cap);
+        (m + 1).min(cap)
     }
 
-    // Candidate buckets: per depth 1..=d_max, candidates keyed by locality
-    // for range scans.
-    let mut buckets: Vec<BTreeMap<u64, NodeId>> = vec![BTreeMap::new(); d_max as usize + 1];
-    let mut in_bucket = vec![false; n];
-    for v in dag.nodes() {
-        let ud = udepth[v.index()];
-        if !mapped[v.index()] && is_workable(v) && ud >= 1 && ud <= d_max as u8 {
-            buckets[ud as usize].insert(dfs[v.index()], v);
-            in_bucket[v.index()] = true;
-        }
-    }
+    /// Decomposes `region` into blocks, in execution order, and leaves
+    /// every region node mapped.
+    ///
+    /// `region` must be in topological order, and every predecessor of a
+    /// region node must be an input, mapped by an earlier region, or in
+    /// the region itself (GRAPHOPT partitions in index order are).
+    fn decompose(&mut self, region: &[NodeId]) -> Vec<RawBlock> {
+        let dag = self.dag;
+        let d_max = self.d_max;
+        let keys = self.keys;
 
-    let total_workable = dag
-        .nodes()
-        .filter(|&v| is_workable(v) && !mapped[v.index()])
-        .count();
-
-    // Collects v's unmapped ancestor cone in topological order (sink last).
-    // Cones are small: at most 2^(d+1) − 1 distinct nodes for depth d.
-    let cone_of = |v: NodeId, mapped: &[bool]| -> Vec<NodeId> {
-        let mut seen: Vec<NodeId> = vec![v];
-        let mut stack = vec![v];
-        while let Some(x) = stack.pop() {
-            for &p in dag.preds(x) {
-                if !mapped[p.index()] && !seen.contains(&p) {
-                    seen.push(p);
-                    stack.push(p);
-                }
-            }
-        }
-        seen.sort_unstable(); // ids are topological
-        seen
-    };
-
-    let mut blocks = Vec::new();
-    let mut done = 0usize;
-    let mut cursor_dfs: u64 = 0;
-
-    while done < total_workable {
-        // Free subtree slots per tree: (depth, tree, leaf offset).
-        let mut slots: Vec<(u32, u32, u32)> = (0..trees).map(|t| (d_max, t, 0)).collect();
-        let mut block_nodes: Vec<NodeId> = Vec::new();
-        let mut block_flag = vec![false; 0]; // lazily sized below
-        let mut subgraphs: Vec<Subgraph> = Vec::new();
-
-        while let Some(slot_idx) = slots
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.0)
-            .map(|(i, _)| i)
-        {
-            let (slot_d, tree, off) = slots[slot_idx];
-            // Find the fittest candidate with udepth <= slot_d whose cone is
-            // disjoint from the block so far.
-            let mut best: Option<(i64, NodeId, Vec<NodeId>)> = None;
-            for d in (1..=slot_d as usize).rev() {
-                let bucket = &buckets[d];
-                if bucket.is_empty() {
-                    continue;
-                }
-                let mut inspected = 0usize;
-                let fwd = bucket.range(cursor_dfs..).take(SEARCH_NEIGHBORS);
-                let bwd = bucket.range(..cursor_dfs).rev().take(SEARCH_NEIGHBORS);
-                for (&key, &cand) in fwd.chain(bwd) {
-                    inspected += 1;
-                    if inspected > 2 * SEARCH_NEIGHBORS {
-                        break;
-                    }
-                    let cone = cone_of(cand, mapped);
-                    if block_flag.len() == dag.len() && cone.iter().any(|x| block_flag[x.index()]) {
-                        continue; // overlaps the block under construction
-                    }
-                    // Objective C: more nodes; objective D: proximity in
-                    // the locality sweep. The distance term is uncapped: a
-                    // far-away full cone must lose to nearby work,
-                    // otherwise the schedule scatters across the DAG and
-                    // register liveness (and with it spill traffic)
-                    // explodes.
-                    let dist = ((key >> 32) as i64 - (cursor_dfs >> 32) as i64).abs();
-                    let fitness = cone.len() as i64 * 256 - dist * 8;
-                    if best.as_ref().is_none_or(|(bf, _, _)| fitness > *bf) {
-                        best = Some((fitness, cand, cone));
-                    }
-                }
-                // A full-depth match is as good as it gets for this slot.
-                if best.is_some() && d == slot_d as usize {
-                    break;
-                }
-            }
-
-            let Some((_, sink, cone)) = best else {
-                break; // no candidate fits the remaining slots
-            };
-
-            let k = udepth[sink.index()] as u32;
-            debug_assert!(k >= 1 && k <= slot_d);
-            // Buddy split: take the leftmost depth-k subslot, free siblings.
-            slots.swap_remove(slot_idx);
-            for j in k..slot_d {
-                slots.push((j, tree, off + (1 << j)));
-            }
-            subgraphs.push(Subgraph {
-                sink,
-                nodes: cone.clone(),
-                depth: k,
-                tree,
-                leaf_offset: off,
-            });
-            if block_flag.len() != dag.len() {
-                block_flag = vec![false; dag.len()];
-            }
-            for &x in &cone {
-                block_flag[x.index()] = true;
-                // Remove from candidate buckets; they are about to be mapped.
-                if in_bucket[x.index()] {
-                    let ud = udepth[x.index()] as usize;
-                    buckets[ud].remove(&dfs[x.index()]);
-                    in_bucket[x.index()] = false;
-                }
-            }
-            cursor_dfs = dfs[sink.index()];
-            block_nodes.extend_from_slice(&cone);
-        }
-
-        if subgraphs.is_empty() {
-            // No candidate at all: every unmapped node is deeper than d_max
-            // relative to the mapped set — impossible, since a ready node
-            // (all preds mapped) always has udepth 1.
-            unreachable!("no schedulable subgraph but {done}/{total_workable} mapped");
-        }
-
-        // Commit the block: mark mapped and propagate udepth decreases.
-        let mut dirty: Vec<NodeId> = Vec::new();
-        for &x in &block_nodes {
-            mapped[x.index()] = true;
-            udepth[x.index()] = 0;
-            done += 1;
-            for &s in dag.succs(x) {
-                if !mapped[s.index()] && is_workable(s) {
-                    dirty.push(s);
-                }
-            }
-        }
-        while let Some(v) = dirty.pop() {
-            if mapped[v.index()] || !is_workable(v) {
+        let mut total_workable = 0usize;
+        for &v in region {
+            if dag.op(v) == Op::Input || self.mapped[v.index()] {
                 continue;
             }
-            let mut m = 0u8;
-            for &p in dag.preds(v) {
-                if !mapped[p.index()] {
-                    m = m.max(udepth[p.index()]);
-                }
+            self.workable[v.index()] = true;
+            total_workable += 1;
+            let ud = self.unmapped_depth(v);
+            self.udepth[v.index()] = ud;
+            if ud <= d_max as u8 {
+                self.buckets[ud as usize].insert(keys[v.index()], v);
+                self.in_bucket[v.index()] = true;
             }
-            let new = (m + 1).min(cap);
-            let old = udepth[v.index()];
-            if new < old {
-                udepth[v.index()] = new;
-                if in_bucket[v.index()] {
-                    buckets[old as usize].remove(&dfs[v.index()]);
-                    in_bucket[v.index()] = false;
+        }
+
+        let mut blocks = Vec::new();
+        let mut done = 0usize;
+        let mut cursor_dfs: u64 = 0;
+        let mut block_nodes: Vec<NodeId> = Vec::new();
+        let mut dirty: Vec<NodeId> = Vec::new();
+
+        while done < total_workable {
+            // Free subtree slots per tree: (depth, tree, leaf offset).
+            let mut slots: Vec<(u32, u32, u32)> = (0..self.trees).map(|t| (d_max, t, 0)).collect();
+            let mut subgraphs: Vec<Subgraph> = Vec::new();
+            block_nodes.clear();
+
+            while let Some(slot_idx) = slots
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, s)| s.0)
+                .map(|(i, _)| i)
+            {
+                let (slot_d, tree, off) = slots[slot_idx];
+                // Find the fittest candidate with udepth <= slot_d whose cone
+                // is disjoint from the block so far; its cone ends up in
+                // `best_cone`.
+                let mut best: Option<(i64, NodeId)> = None;
+                for d in (1..=slot_d as usize).rev() {
+                    if self.buckets[d].is_empty() {
+                        continue;
+                    }
+                    // Copied out first: collecting cones borrows `self`
+                    // mutably.
+                    let mut window = std::mem::take(&mut self.window);
+                    window.clear();
+                    let bucket = &self.buckets[d];
+                    let fwd = bucket.range(cursor_dfs..).take(SEARCH_NEIGHBORS);
+                    let bwd = bucket.range(..cursor_dfs).rev().take(SEARCH_NEIGHBORS);
+                    window.extend(fwd.chain(bwd).map(|(&key, &cand)| (key, cand)));
+                    for &(key, cand) in &window {
+                        self.collect_cone(cand);
+                        if self.cone.iter().any(|x| self.in_block[x.index()]) {
+                            continue; // overlaps the block under construction
+                        }
+                        // Objective C: more nodes; objective D: proximity in
+                        // the locality sweep. The distance term is uncapped:
+                        // a far-away full cone must lose to nearby work,
+                        // otherwise the schedule scatters across the DAG and
+                        // register liveness (and with it spill traffic)
+                        // explodes.
+                        let dist = ((key >> 32) as i64 - (cursor_dfs >> 32) as i64).abs();
+                        let fitness = self.cone.len() as i64 * 256 - dist * 8;
+                        if best.is_none_or(|(bf, _)| fitness > bf) {
+                            best = Some((fitness, cand));
+                            std::mem::swap(&mut self.cone, &mut self.best_cone);
+                        }
+                    }
+                    self.window = window;
+                    // A full-depth match is as good as it gets for this slot.
+                    if best.is_some() && d == slot_d as usize {
+                        break;
+                    }
                 }
-                if new >= 1 && new <= d_max as u8 {
-                    buckets[new as usize].insert(dfs[v.index()], v);
-                    in_bucket[v.index()] = true;
+
+                let Some((_, sink)) = best else {
+                    break; // no candidate fits the remaining slots
+                };
+                let cone = &self.best_cone;
+
+                let k = self.udepth[sink.index()] as u32;
+                debug_assert!(k >= 1 && k <= slot_d);
+                // Buddy split: take the leftmost depth-k subslot, free
+                // siblings.
+                slots.swap_remove(slot_idx);
+                for j in k..slot_d {
+                    slots.push((j, tree, off + (1 << j)));
                 }
-                for &s in dag.succs(v) {
-                    if !mapped[s.index()] && is_workable(s) {
+                subgraphs.push(Subgraph {
+                    sink,
+                    nodes: cone.clone(),
+                    depth: k,
+                    tree,
+                    leaf_offset: off,
+                });
+                for &x in cone {
+                    self.in_block[x.index()] = true;
+                    // Remove from candidate buckets; they are about to be
+                    // mapped.
+                    if self.in_bucket[x.index()] {
+                        let ud = self.udepth[x.index()] as usize;
+                        self.buckets[ud].remove(&keys[x.index()]);
+                        self.in_bucket[x.index()] = false;
+                    }
+                }
+                cursor_dfs = keys[sink.index()];
+                block_nodes.extend_from_slice(cone);
+            }
+
+            if subgraphs.is_empty() {
+                // No candidate at all: every unmapped node is deeper than
+                // d_max relative to the mapped set — impossible, since a
+                // ready node (all preds mapped) always has udepth 1.
+                unreachable!("no schedulable subgraph but {done}/{total_workable} mapped");
+            }
+
+            // Commit the block: mark mapped and propagate udepth decreases.
+            for &x in &block_nodes {
+                self.in_block[x.index()] = false;
+                self.mapped[x.index()] = true;
+                self.udepth[x.index()] = 0;
+                done += 1;
+                for &s in dag.succs(x) {
+                    if !self.mapped[s.index()] && self.workable[s.index()] {
                         dirty.push(s);
                     }
                 }
-            } else if !in_bucket[v.index()] && new >= 1 && new <= d_max as u8 && new == old {
-                buckets[new as usize].insert(dfs[v.index()], v);
-                in_bucket[v.index()] = true;
             }
+            while let Some(v) = dirty.pop() {
+                if self.mapped[v.index()] || !self.workable[v.index()] {
+                    continue;
+                }
+                let new = self.unmapped_depth(v);
+                let old = self.udepth[v.index()];
+                if new < old {
+                    self.udepth[v.index()] = new;
+                    if self.in_bucket[v.index()] {
+                        self.buckets[old as usize].remove(&keys[v.index()]);
+                        self.in_bucket[v.index()] = false;
+                    }
+                    if new >= 1 && new <= d_max as u8 {
+                        self.buckets[new as usize].insert(keys[v.index()], v);
+                        self.in_bucket[v.index()] = true;
+                    }
+                    for &s in dag.succs(v) {
+                        if !self.mapped[s.index()] && self.workable[s.index()] {
+                            dirty.push(s);
+                        }
+                    }
+                } else if !self.in_bucket[v.index()] && new >= 1 && new <= d_max as u8 && new == old
+                {
+                    self.buckets[new as usize].insert(keys[v.index()], v);
+                    self.in_bucket[v.index()] = true;
+                }
+            }
+
+            blocks.push(RawBlock { subgraphs });
         }
 
-        blocks.push(RawBlock { subgraphs });
+        for &v in region {
+            self.workable[v.index()] = false;
+        }
+        blocks
     }
-
-    blocks
 }
 
 /// Checks the defining invariants of a decomposition: every non-input node
@@ -392,11 +515,6 @@ mod tests {
     use super::*;
     use dpu_dag::DagBuilder;
 
-    fn decompose_whole(dag: &Dag, cfg: &ArchConfig) -> Vec<RawBlock> {
-        let mut mapped = vec![false; dag.len()];
-        decompose(dag, cfg, None, &mut mapped)
-    }
-
     fn chain_dag(len: usize) -> Dag {
         let mut b = DagBuilder::new();
         let x = b.input();
@@ -426,7 +544,7 @@ mod tests {
     fn chain_decomposes_validly() {
         let dag = chain_dag(50);
         let cfg = ArchConfig::new(3, 16, 32).unwrap();
-        let blocks = decompose_whole(&dag, &cfg);
+        let blocks = decompose(&dag, &cfg);
         validate_blocks(&dag, &cfg, &blocks).unwrap();
         // A pure chain packs at most D nodes per subgraph.
         assert!(blocks.len() >= 50 / 3);
@@ -437,7 +555,7 @@ mod tests {
         let dag = random_dag(400, 9);
         for (d, b) in [(1u32, 8u32), (2, 8), (3, 16)] {
             let cfg = ArchConfig::new(d, b, 32).unwrap();
-            let blocks = decompose_whole(&dag, &cfg);
+            let blocks = decompose(&dag, &cfg);
             validate_blocks(&dag, &cfg, &blocks).unwrap();
         }
     }
@@ -453,7 +571,7 @@ mod tests {
         }
         let dag = b.finish().unwrap();
         let cfg = ArchConfig::new(3, 16, 32).unwrap();
-        let blocks = decompose_whole(&dag, &cfg);
+        let blocks = decompose(&dag, &cfg);
         validate_blocks(&dag, &cfg, &blocks).unwrap();
         // 32 adds; each block fits up to 2 trees × 4 depth-1 slots = 8.
         assert!(blocks.len() <= 8, "blocks = {}", blocks.len());
@@ -472,7 +590,7 @@ mod tests {
         }
         let dag = b.finish().unwrap();
         let cfg = ArchConfig::new(2, 8, 32).unwrap();
-        let blocks = decompose_whole(&dag, &cfg);
+        let blocks = decompose(&dag, &cfg);
         validate_blocks(&dag, &cfg, &blocks).unwrap();
         for blk in &blocks {
             for sg in &blk.subgraphs {
@@ -488,11 +606,25 @@ mod tests {
         // Split nodes into two topological halves.
         let non_input: Vec<NodeId> = dag.nodes().filter(|&v| dag.op(v) != Op::Input).collect();
         let (lo, hi) = non_input.split_at(non_input.len() / 2);
-        let mut mapped = vec![false; dag.len()];
-        let blocks_lo = decompose(&dag, &cfg, Some(lo), &mut mapped);
-        let blocks_hi = decompose(&dag, &cfg, Some(hi), &mut mapped);
-        let mut all = blocks_lo;
-        all.extend(blocks_hi);
+        let keys = locality_keys(&dag);
+        let mut dec = Decomposer::new(&dag, &cfg, &keys);
+        let mut all = dec.decompose(lo);
+        all.extend(dec.decompose(hi));
         validate_blocks(&dag, &cfg, &all).unwrap();
+    }
+
+    #[test]
+    fn parallel_partitions_match_sequential_decomposition() {
+        let dag = random_dag(3_000, 6);
+        let cfg = ArchConfig::new(3, 16, 32).unwrap();
+        let parts = dpu_dag::partition::partition(&dag, 150);
+        assert!(parts.len() > 8, "{} partitions", parts.len());
+        let keys = locality_keys(&dag);
+        let mut dec = Decomposer::new(&dag, &cfg, &keys);
+        let sequential: Vec<RawBlock> =
+            parts.iter().flat_map(|p| dec.decompose(&p.nodes)).collect();
+        let parallel = decompose_partitions(&dag, &cfg, &parts);
+        assert_eq!(parallel, sequential);
+        validate_blocks(&dag, &cfg, &parallel).unwrap();
     }
 }

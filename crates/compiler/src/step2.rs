@@ -21,8 +21,6 @@
 //! emission). A [`BankPolicy::Random`] mode reproduces the paper's random
 //! baseline (Fig. 10(b), 292× more conflicts).
 
-use std::collections::HashMap;
-
 use dpu_dag::{Dag, NodeId, Op};
 use dpu_isa::{interconnect, ArchConfig, PeId, PeOpcode};
 use rand::rngs::SmallRng;
@@ -67,49 +65,53 @@ pub fn place_blocks(
     raw: Vec<RawBlock>,
     needs_store: &[bool],
 ) -> Vec<Block> {
+    let n = dag.len();
+    // Dense per-node scratch, cleared as each subgraph or block is done.
+    // height[v]: v's height within the cone being placed (leaves, the
+    // operands outside the cone, count 0, so height(sink) == sg.depth).
+    let mut height = vec![0u32; n];
+    // PE occurrences of each stored value, moved into its block's outputs.
+    let mut occurrences: Vec<Vec<PeId>> = vec![Vec::new(); n];
+    let mut is_block_input = vec![false; n];
+    let mut stack: Vec<(NodeId, u32, u32)> = Vec::new();
+
     let mut blocks = Vec::with_capacity(raw.len());
     for rb in raw {
         let mut blk = Block {
             subgraphs: rb.subgraphs,
             ..Block::default()
         };
-        let mut occurrences: HashMap<NodeId, Vec<PeId>> = HashMap::new();
-        let mut inputs_seen: Vec<NodeId> = Vec::new();
 
         for sg in &blk.subgraphs {
-            // Heights within the cone: leaves (operands outside the cone)
-            // count 0, so height(sink) == sg.depth.
-            let mut height: HashMap<NodeId, u32> = HashMap::new();
             for &x in &sg.nodes {
                 let h = dag
                     .preds(x)
                     .iter()
-                    .map(|p| height.get(p).copied().unwrap_or(0))
+                    .map(|p| height[p.index()])
                     .max()
                     .unwrap_or(0)
                     + 1;
-                height.insert(x, h);
+                height[x.index()] = h;
             }
-            debug_assert_eq!(height[&sg.sink], sg.depth);
+            debug_assert_eq!(height[sg.sink.index()], sg.depth);
 
             // Recursive top-down placement of the unrolled tree. `idx` is
             // the PE index at `layer` within the whole tree.
             let tree = sg.tree;
             let root_idx = sg.leaf_offset >> sg.depth;
-            let mut stack: Vec<(NodeId, u32, u32)> = vec![(sg.sink, sg.depth, root_idx)];
+            stack.push((sg.sink, sg.depth, root_idx));
             while let Some((node, layer, idx)) = stack.pop() {
                 blk.pe_config
                     .push((PeId::new(tree, layer, idx), pe_opcode(dag.op(node))));
-                occurrences
-                    .entry(node)
-                    .or_default()
-                    .push(PeId::new(tree, layer, idx));
+                if needs_store[node.index()] {
+                    occurrences[node.index()].push(PeId::new(tree, layer, idx));
+                }
                 let preds = dag.preds(node);
                 debug_assert_eq!(preds.len(), 2, "binarized compute nodes are 2-input");
                 for (side, &child) in preds.iter().enumerate() {
                     let s = side as u32;
-                    let in_cone = height.contains_key(&child) && sg.nodes.contains(&child);
-                    let child_h = if in_cone { height[&child] } else { 0 };
+                    let child_h = height[child.index()];
+                    let in_cone = child_h != 0;
                     // Bypass padding along the always-left descend path
                     // from (layer-1, 2·idx+s) down to the child's level.
                     for lv in (child_h.max(1)..layer).rev() {
@@ -132,11 +134,15 @@ pub fn place_blocks(
                         let port = (2 * idx + s) << (layer - 1);
                         blk.port_reads
                             .push((tree * cfg.ports_per_tree() + port, child));
-                        if !inputs_seen.contains(&child) {
-                            inputs_seen.push(child);
+                        if !is_block_input[child.index()] {
+                            is_block_input[child.index()] = true;
+                            blk.inputs.push(child);
                         }
                     }
                 }
+            }
+            for &x in &sg.nodes {
+                height[x.index()] = 0;
             }
         }
 
@@ -144,7 +150,7 @@ pub fn place_blocks(
         for sg in &blk.subgraphs {
             for &x in &sg.nodes {
                 if needs_store[x.index()] {
-                    let mut occ = occurrences[&x].clone();
+                    let mut occ = std::mem::take(&mut occurrences[x.index()]);
                     // Prefer higher layers: more writable banks under the
                     // per-layer output interconnect.
                     occ.sort_by_key(|pe| std::cmp::Reverse(pe.layer));
@@ -152,10 +158,118 @@ pub fn place_blocks(
                 }
             }
         }
-        blk.inputs = inputs_seen;
+        for &v in &blk.inputs {
+            is_block_input[v.index()] = false;
+        }
         blocks.push(blk);
     }
     blocks
+}
+
+/// Algorithm 2's unassigned io values ("Mnodes") with their compatible
+/// banks ("Sb"), bucketed by how many compatible banks each has left.
+struct Mnodes {
+    /// `ceil(B/64)`: bitset words per value.
+    words: usize,
+    /// Compatible banks, `words` words per node: bank `b` is bit `b % 64`
+    /// of word `b / 64`.
+    compatible: Vec<u64>,
+    /// Set bits per node.
+    count: Vec<u32>,
+    /// `buckets[k]` holds values that had `k` compatible banks when pushed.
+    /// A value moves by being pushed again, so entries whose `count` no
+    /// longer matches their bucket (or that are assigned) are stale and
+    /// skipped when drawn.
+    buckets: Vec<Vec<NodeId>>,
+    /// No bucket below this one is non-empty.
+    lowest: usize,
+}
+
+impl Mnodes {
+    fn new(nodes: usize, banks: usize) -> Self {
+        let words = banks.div_ceil(64);
+        Mnodes {
+            words,
+            compatible: vec![0; nodes * words],
+            count: vec![0; nodes],
+            buckets: vec![Vec::new(); banks + 1],
+            lowest: 0,
+        }
+    }
+
+    fn bits_mut(&mut self, v: NodeId) -> &mut [u64] {
+        let at = v.index() * self.words;
+        &mut self.compatible[at..at + self.words]
+    }
+
+    fn insert(&mut self, v: NodeId, bank: u32) {
+        let (w, bit) = (bank as usize / 64, 1u64 << (bank % 64));
+        let word = &mut self.bits_mut(v)[w];
+        if *word & bit == 0 {
+            *word |= bit;
+            self.count[v.index()] += 1;
+        }
+    }
+
+    fn insert_all(&mut self, v: NodeId, banks: u32) {
+        for b in 0..banks {
+            self.insert(v, b);
+        }
+    }
+
+    /// The `i`-th compatible bank of `v` in increasing bank order.
+    fn nth(&self, v: NodeId, mut i: usize) -> u32 {
+        let at = v.index() * self.words;
+        for (w, &word) in self.compatible[at..at + self.words].iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if i < ones {
+                let mut word = word;
+                for _ in 0..i {
+                    word &= word - 1; // clear the lowest set bit
+                }
+                return (w * 64) as u32 + word.trailing_zeros();
+            }
+            i -= ones;
+        }
+        unreachable!("fewer than i + 1 compatible banks")
+    }
+
+    fn push(&mut self, v: NodeId) {
+        let k = self.count[v.index()] as usize;
+        self.buckets[k].push(v);
+        self.lowest = self.lowest.min(k);
+    }
+
+    /// Draws a random unassigned value from the lowest non-empty bucket
+    /// (Algorithm 2 lines 9–18; objective J), skipping stale entries.
+    fn draw(&mut self, rng: &mut SmallRng, assignment: &BankAssignment) -> NodeId {
+        loop {
+            while self.buckets[self.lowest].is_empty() {
+                self.lowest += 1;
+            }
+            let k = self.lowest;
+            let i = rng.gen_range(0..self.buckets[k].len());
+            let v = self.buckets[k].swap_remove(i);
+            if assignment.bank_of[v.index()].is_none() && self.count[v.index()] as usize == k {
+                return v;
+            }
+        }
+    }
+
+    /// Removes `bank` from an unassigned `w`'s compatible banks
+    /// (constraints F and G), rebucketing `w` if it had that bank.
+    fn restrict(&mut self, w: NodeId, bank: u32, assignment: &BankAssignment) {
+        if assignment.bank_of[w.index()].is_some() {
+            return;
+        }
+        let (i, bit) = (bank as usize / 64, 1u64 << (bank % 64));
+        let word = &mut self.bits_mut(w)[i];
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.count[w.index()] -= 1;
+            self.push(w);
+        }
+    }
 }
 
 /// Assigns home banks to every io value (Algorithm 2).
@@ -175,39 +289,36 @@ pub fn assign_banks(
     let banks = cfg.banks as usize;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xbad_c0de);
 
-    // io universe: block inputs ∪ block outputs.
+    // io universe: block inputs ∪ block outputs, each with its writable
+    // banks (every io value has them from the moment it is marked io).
     let mut is_io = vec![false; n];
-    // Writable-bank options per io value.
-    let mut sb: Vec<Option<Vec<u32>>> = vec![None; n];
-    // simul_wr neighborhoods: outputs of the same block.
-    let mut out_block: Vec<Vec<usize>> = vec![Vec::new(); n]; // value -> blocks writing it (1)
-    let mut in_blocks: Vec<Vec<usize>> = vec![Vec::new(); n]; // value -> blocks reading it
+    let mut mnodes = Mnodes::new(n, banks);
+    // simul_wr neighborhoods: the block writing each value (one at most)
+    // and the blocks reading it.
+    let mut out_block = vec![usize::MAX; n];
+    let mut in_blocks: Vec<Vec<usize>> = vec![Vec::new(); n];
 
     for (bi, blk) in blocks.iter().enumerate() {
         for &(v, ref occ) in &blk.outputs {
+            debug_assert_eq!(out_block[v.index()], usize::MAX, "one producer per value");
+            out_block[v.index()] = bi;
             is_io[v.index()] = true;
-            let mut opts: Vec<u32> = Vec::new();
             for pe in occ {
                 for b in interconnect::writable_banks(cfg, *pe) {
-                    if !opts.contains(&b) {
-                        opts.push(b);
-                    }
+                    mnodes.insert(v, b);
                 }
             }
-            opts.sort_unstable();
-            sb[v.index()] = Some(opts);
-            out_block[v.index()].push(bi);
         }
         for &v in &blk.inputs {
-            is_io[v.index()] = true;
             in_blocks[v.index()].push(bi);
-            if sb[v.index()].is_none() {
+            if !is_io[v.index()] {
                 debug_assert_eq!(
                     dag.op(v),
                     Op::Input,
                     "non-input io value must be a block output"
                 );
-                sb[v.index()] = Some((0..cfg.banks).collect());
+                is_io[v.index()] = true;
+                mnodes.insert_all(v, cfg.banks);
             }
         }
     }
@@ -217,12 +328,7 @@ pub fn assign_banks(
     for &v in outputs {
         if !is_io[v.index()] {
             is_io[v.index()] = true;
-            sb[v.index()] = Some((0..cfg.banks).collect());
-        }
-    }
-    for v in dag.nodes() {
-        if is_io[v.index()] && sb[v.index()].is_none() {
-            sb[v.index()] = Some((0..cfg.banks).collect());
+            mnodes.insert_all(v, cfg.banks);
         }
     }
 
@@ -242,50 +348,33 @@ pub fn assign_banks(
         return assignment;
     }
 
-    // Mnodes: buckets of unassigned io values keyed by |Sb| for O(B)
-    // min-compatible-bank selection (Algorithm 2 lines 9–18).
-    let mut bucket_of: Vec<usize> = vec![usize::MAX; n];
-    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); banks + 1];
-    let io_nodes: Vec<NodeId> = dag.nodes().filter(|v| is_io[v.index()]).collect();
-    for &v in &io_nodes {
-        let k = sb[v.index()].as_ref().expect("io has options").len();
-        bucket_of[v.index()] = k;
-        buckets[k].push(v);
+    let mut unassigned = 0usize;
+    for v in dag.nodes().filter(|v| is_io[v.index()]) {
+        mnodes.push(v);
+        unassigned += 1;
     }
 
-    let mut assigned = 0usize;
-    while assigned < io_nodes.len() {
-        // Lowest non-empty bucket; random member (objective J).
-        let (k, v) = loop {
-            let k = (0..=banks)
-                .find(|&k| !buckets[k].is_empty())
-                .expect("an unassigned io value exists");
-            let i = rng.gen_range(0..buckets[k].len());
-            let v = buckets[k].swap_remove(i);
-            // Skip stale entries (value moved buckets or already assigned).
-            if assignment.bank_of[v.index()].is_some() || bucket_of[v.index()] != k {
-                continue;
-            }
-            break (k, v);
-        };
-        let _ = k;
+    while unassigned > 0 {
+        let v = mnodes.draw(&mut rng, &assignment);
+        let readers = &in_blocks[v.index()];
+        let writer = blocks.get(out_block[v.index()]);
 
-        let opts = sb[v.index()].as_ref().expect("io has options");
-        let chosen = if !opts.is_empty() {
-            opts[rng.gen_range(0..opts.len())]
+        let compatible = mnodes.count[v.index()] as usize;
+        let chosen = if compatible > 0 {
+            mnodes.nth(v, rng.gen_range(0..compatible))
         } else {
             // No compatible bank: minimize conflicts by picking the bank
             // least used by simultaneously-read/written neighbors
             // (Algorithm 2 line 24). Conflicts will be repaired by copies.
             let mut contention = vec![0u32; banks];
-            for &bi in out_block[v.index()].iter() {
-                for &(w, _) in &blocks[bi].outputs {
+            if let Some(blk) = writer {
+                for &(w, _) in &blk.outputs {
                     if let Some(b) = assignment.bank_of[w.index()] {
                         contention[b as usize] += 1;
                     }
                 }
             }
-            for &bi in in_blocks[v.index()].iter() {
+            for &bi in readers {
                 for &r in &blocks[bi].inputs {
                     if let Some(b) = assignment.bank_of[r.index()] {
                         contention[b as usize] += 1;
@@ -299,36 +388,18 @@ pub fn assign_banks(
             cands[rng.gen_range(0..cands.len())]
         };
         assignment.bank_of[v.index()] = Some(chosen);
-        bucket_of[v.index()] = usize::MAX;
-        assigned += 1;
+        unassigned -= 1;
 
         // Constraint G: same-block outputs must avoid this bank.
         // Constraint F: co-read inputs must avoid this bank.
-        let restrict = |w: NodeId,
-                        sb: &mut Vec<Option<Vec<u32>>>,
-                        buckets: &mut Vec<Vec<NodeId>>,
-                        bucket_of: &mut Vec<usize>| {
-            if assignment.bank_of[w.index()].is_some() || w == v {
-                return;
-            }
-            let opts = sb[w.index()].as_mut().expect("io has options");
-            if let Some(pos) = opts.iter().position(|&b| b == chosen) {
-                opts.remove(pos);
-                let nk = opts.len();
-                bucket_of[w.index()] = nk;
-                buckets[nk].push(w);
-            }
-        };
-        for &bi in out_block[v.index()].iter() {
-            let outs: Vec<NodeId> = blocks[bi].outputs.iter().map(|&(w, _)| w).collect();
-            for w in outs {
-                restrict(w, &mut sb, &mut buckets, &mut bucket_of);
+        if let Some(blk) = writer {
+            for &(w, _) in &blk.outputs {
+                mnodes.restrict(w, chosen, &assignment);
             }
         }
-        for &bi in in_blocks[v.index()].iter() {
-            let ins: Vec<NodeId> = blocks[bi].inputs.clone();
-            for w in ins {
-                restrict(w, &mut sb, &mut buckets, &mut bucket_of);
+        for &bi in readers {
+            for &w in &blocks[bi].inputs {
+                mnodes.restrict(w, chosen, &assignment);
             }
         }
     }
@@ -371,8 +442,7 @@ mod tests {
     use dpu_dag::DagBuilder;
 
     fn pipeline(dag: &Dag, cfg: &ArchConfig) -> (Vec<Block>, BankAssignment) {
-        let mut mapped = vec![false; dag.len()];
-        let raw = decompose(dag, cfg, None, &mut mapped);
+        let raw = decompose(dag, cfg);
         validate_blocks(dag, cfg, &raw).unwrap();
         let outputs: Vec<NodeId> = dag.sinks().collect();
         let needs = compute_needs_store(dag, &raw, &outputs);
@@ -472,11 +542,38 @@ mod tests {
     }
 
     #[test]
+    fn bank_bitsets_match_sorted_lists_across_words() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let banks = 150;
+        let mut m = Mnodes::new(2, banks as usize);
+        let v = NodeId(1);
+        let mut list: Vec<u32> = Vec::new();
+        for _ in 0..60 {
+            let b = rng.gen_range(0..banks);
+            m.insert(v, b);
+            if !list.contains(&b) {
+                list.push(b);
+            }
+        }
+        list.sort_unstable();
+        let assignment = BankAssignment {
+            bank_of: vec![None; 2],
+        };
+        for &b in &[list[0], list[list.len() / 2], 149] {
+            m.restrict(v, b, &assignment);
+            list.retain(|&x| x != b);
+        }
+        assert_eq!(m.count[1] as usize, list.len());
+        for (i, &b) in list.iter().enumerate() {
+            assert_eq!(m.nth(v, i), b);
+        }
+    }
+
+    #[test]
     fn random_policy_assigns_everything() {
         let dag = small_dag();
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
-        let mut mapped = vec![false; dag.len()];
-        let raw = decompose(&dag, &cfg, None, &mut mapped);
+        let raw = decompose(&dag, &cfg);
         let outputs: Vec<NodeId> = dag.sinks().collect();
         let needs = compute_needs_store(&dag, &raw, &outputs);
         let blocks = place_blocks(&dag, &cfg, raw, &needs);

@@ -15,11 +15,15 @@ pub struct Dag {
     pred_data: Vec<NodeId>,
     succ_offsets: Vec<u32>,
     succ_data: Vec<NodeId>,
+    /// Number of `Op::Input` nodes, counted once here: the serving path
+    /// asks for it on every request.
+    inputs: usize,
 }
 
 impl Dag {
     pub(crate) fn from_csr(ops: Vec<Op>, pred_offsets: Vec<u32>, pred_data: Vec<NodeId>) -> Self {
         let n = ops.len();
+        let inputs = ops.iter().filter(|&&o| o == Op::Input).count();
         // Build the successor CSR by counting then bucketing.
         let mut succ_counts = vec![0u32; n];
         for &p in &pred_data {
@@ -45,6 +49,7 @@ impl Dag {
             pred_data,
             succ_offsets,
             succ_data,
+            inputs,
         }
     }
 
@@ -130,7 +135,7 @@ impl Dag {
 
     /// Number of `Op::Input` nodes.
     pub fn input_count(&self) -> usize {
-        self.ops.iter().filter(|&&o| o == Op::Input).count()
+        self.inputs
     }
 
     /// Number of arithmetic (non-input) nodes — the paper's "operations".
